@@ -56,11 +56,12 @@ def _emit_tree(edges) -> str:
 
 def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
-    verdict = fpt_decide(g, args.k, want_witness=args.witness, workers=args.workers)
+    verdict = fpt_decide(g, args.k, want_witness=args.witness)
     payload = {"answer": verdict.answer, "k": args.k}
     if args.stats:
         payload["stats"] = {
             "subsets_enumerated": verdict.stats.subsets_enumerated,
+            "subsets_pruned": verdict.stats.subsets_pruned,
             "reductions_applied": verdict.stats.reductions_applied,
             "k_after_preprocess": verdict.stats.k_after_preprocess,
         }
@@ -265,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", help="input file or - for stdin")
     sp.add_argument("--witness", action="store_true")
     sp.add_argument("--stats", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_solve)
 

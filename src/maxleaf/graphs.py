@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 
@@ -387,12 +388,61 @@ class SEdge:
         return self.u == self.v
 
 
-@dataclass
+@dataclass(frozen=True)
+class SuppressedIndex:
+    """Bitmask view of a suppressed graph for the forced-leaf search. The
+    vertex at position i of the sorted vertex list owns bit ``1 << i``, so
+    ascending masks of equal popcount are in colex order."""
+
+    pos: dict[int, int]  # vertex -> bit position
+    full: int  # mask of every vertex
+    adj: tuple[int, ...]  # neighbour mask per position, loops left out
+    loops: int  # mask of the vertices carrying a suppressed cycle
+    loop_count: int
+    heavy: tuple[int, ...]  # neighbour mask per position over edges with cost >= 1
+    # non-loop edges sorted by (cost, id): (id, pair mask, pos u, pos v, cost)
+    edges: tuple[tuple[int, int, int, int, int], ...]
+
+    def mask(self, vs: Iterable[int]) -> int:
+        return sum(1 << self.pos[v] for v in vs)
+
+
+@dataclass(frozen=True)
 class SuppressedGraph:
     """Result of suppressing every degree-2 vertex of a connected host."""
 
     vertices: frozenset[int]
-    sedges: list[SEdge]
+    sedges: tuple[SEdge, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "sedges", tuple(self.sedges))
+
+    @cached_property
+    def index(self) -> SuppressedIndex:
+        pos = {v: i for i, v in enumerate(sorted(self.vertices))}
+        adj = [0] * len(pos)
+        heavy = [0] * len(pos)
+        loops = [e for e in self.sedges if e.is_loop]
+        edges = []
+        for eid, e in enumerate(self.sedges):
+            if not e.is_loop:
+                a, b = pos[e.u], pos[e.v]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                if e.cost:
+                    heavy[a] |= 1 << b
+                    heavy[b] |= 1 << a
+                edges.append((eid, (1 << a) | (1 << b), a, b, e.cost))
+        edges.sort(key=lambda edge: edge[4])  # stable: ties stay in id order
+        return SuppressedIndex(
+            pos=pos,
+            full=(1 << len(pos)) - 1,
+            adj=tuple(adj),
+            loops=sum({1 << pos[e.u] for e in loops}),
+            loop_count=len(loops),
+            heavy=tuple(heavy),
+            edges=tuple(edges),
+        )
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -440,7 +490,7 @@ def suppress(g: Graph) -> SuppressedGraph:
         if g.loops_at(v):
             raise GraphError("suppression input must be loop-free")
     if not any(g.degree(v) >= 3 for v in g.vertices):
-        return SuppressedGraph(frozenset(), [])
+        return SuppressedGraph(frozenset(), ())
 
     anchors = {v for v in g.vertices if g.degree(v) != 2}
     sedges: list[SEdge] = []

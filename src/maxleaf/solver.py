@@ -3,21 +3,24 @@
 The oracle works through the complement: for n >= 3 the internal vertices of
 a spanning tree form a connected dominating set, so the maximum leaf count is
 n minus the smallest one. The decision procedure preprocesses with the
-two-terminal rules, applies the counting shortcuts, and then enumerates
-forced-leaf sets over the suppressed graph, deciding each in polynomial time
-via a minimum-cost spanning tree.
+two-terminal rules, applies the counting shortcuts, and then searches the
+forced-leaf sets over the suppressed graph level by level, visiting a set
+only when all its one-smaller subsets are feasible. Each visited set is
+decided in polynomial time via a minimum-cost spanning tree, evaluated on
+the suppressed graph's bitmask index.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import comb
 
 from .graphs import (
     Graph,
     GraphError,
     SuppressedGraph,
+    SuppressedIndex,
     edge_key,
     graph_leaves,
     is_connected,
@@ -40,15 +43,18 @@ class ForcedLeafQuery:
     s: SuppressedGraph
     forced: frozenset[int]
     host_leaf_count: int  # degree-1 vertices of the suppressed graph's host
+    mask: int = field(init=False, repr=False, compare=False)  # forced, as index bits
 
     def __post_init__(self):
         if not self.forced <= self.s.vertices:
             raise GraphError("forced set must live inside the suppressed graph")
+        object.__setattr__(self, "mask", self.s.index.mask(self.forced))
 
 
 @dataclass
 class SolveStats:
-    subsets_enumerated: int = 0
+    subsets_enumerated: int = 0  # forced sets evaluated by achievable_leaves
+    subsets_pruned: int = 0  # left out because a subset of theirs is infeasible
     reductions_applied: int = 0
     k_after_preprocess: int = 0
 
@@ -200,66 +206,37 @@ def forced_leaf_feasible(q: ForcedLeafQuery) -> bool:
     a connected dominating set of the suppressed graph, no two forced
     vertices may be joined by an edge carrying internal vertices, and no
     suppressed cycle may hang on a forced vertex."""
-    s, forced = q.s, q.forced
-    if s.is_empty():
+    if q.s.is_empty():
         raise GraphError("forced-leaf query needs a nonempty suppressed graph")
-    keep = s.vertices - forced
-    if not keep:
+    ix, forced = q.s.index, q.mask
+    keep = ix.full & ~forced
+    if not keep or ix.loops & forced:
         return False
-    for e in s.sedges:
-        if e.is_loop:
-            if e.u in forced:
-                return False
-        elif e.u in forced and e.v in forced and (e.cost or 0) >= 1:
-            return False
-    # connectivity of the kept side
-    adj: dict[int, set[int]] = {v: set() for v in keep}
-    for e in s.sedges:
-        if not e.is_loop and e.u in keep and e.v in keep:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
-    start = next(iter(keep))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != keep:
-        return False
-    # domination: every forced vertex needs a kept neighbor
-    dominated = set(keep)
-    for e in s.sedges:
-        if e.is_loop:
-            continue
-        if e.u in keep and e.v in forced:
-            dominated.add(e.v)
-        if e.v in keep and e.u in forced:
-            dominated.add(e.u)
-    return dominated == s.vertices
+    for v in q.forced:
+        p = ix.pos[v]
+        if ix.heavy[p] & forced or not ix.adj[p] & keep:
+            return False  # a costly edge between forced vertices, or undominated
+    # connectivity of the kept side, one breadth-first layer at a time
+    seen = frontier = keep & -keep
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= ix.adj[bit.bit_length() - 1]
+        frontier = reach & keep & ~seen
+        seen |= frontier
+    return seen == keep
 
 
-def achievable_leaves(q: ForcedLeafQuery) -> int | None:
-    """Maximum of |forced| + (leaves outside the high-degree set) over the
-    spanning trees keeping every forced vertex a leaf; None when infeasible.
-
-    Built from a minimum-cost spanning tree of the kept side plus one
-    cheapest attachment per forced vertex; every non-tree edge then donates
-    leaves from its suppressed internal vertices: min(i,2) between two kept
-    endpoints (loops give 2), min(i,1) when one endpoint is forced.
-    """
-    if not forced_leaf_feasible(q):
-        return None
-    s, forced = q.s, q.forced
-    keep = sorted(s.vertices - forced)
-    keep_idx = {v: i for i, v in enumerate(keep)}
-
-    indexed = list(enumerate(s.sedges))
-    tree_ids: set[int] = set()
-    # minimum-cost spanning tree of the kept side
-    parent = list(range(len(keep)))
+def _forced_tree(ix: SuppressedIndex, forced: int) -> tuple[set[int], int]:
+    """The construction behind achievable_leaves for a feasible forced mask:
+    a minimum-cost spanning tree of the kept side plus the cheapest
+    attachment of each forced vertex, ties going to the lower edge id.
+    Returns the chosen suppressed-edge ids and the leaves donated by the
+    other edges: min(i,2) between two kept endpoints (loops give 2),
+    min(i,1) when one endpoint is forced."""
+    parent = list(range(len(ix.adj)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -267,46 +244,44 @@ def achievable_leaves(q: ForcedLeafQuery) -> int | None:
             a = parent[a]
         return a
 
-    for eid, e in sorted(
-        (pair for pair in indexed if not pair[1].is_loop and pair[1].u in keep_idx and pair[1].v in keep_idx),
-        key=lambda pair: (pair[1].cost, pair[0]),
-    ):
-        ru, rv = find(keep_idx[e.u]), find(keep_idx[e.v])
-        if ru != rv:
-            parent[ru] = rv
-            tree_ids.add(eid)
-    # cheapest attachment per forced vertex
-    for u in sorted(forced):
-        best = None
-        for eid, e in indexed:
-            if e.is_loop:
-                continue
-            other = None
-            if e.u == u and e.v in keep_idx:
-                other = e.v
-            elif e.v == u and e.u in keep_idx:
-                other = e.u
-            if other is None:
-                continue
-            key = (e.cost, eid)
-            if best is None or key < best:
-                best = (e.cost, eid)
-        assert best is not None  # guaranteed by domination
-        tree_ids.add(best[1])
+    tree: set[int] = set()
+    attached = 0
+    joins_left = len(ix.adj) - forced.bit_count() - 1
+    gain = 2 * ix.loop_count
+    # one pass in (cost, id) order is Kruskal on the kept side and, for each
+    # forced vertex, meets its cheapest attachment first
+    for eid, pair, a, b, cost in ix.edges:
+        hit = pair & forced
+        if not hit:
+            if joins_left:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+                    tree.add(eid)
+                    joins_left -= 1
+                    continue
+            gain += cost
+        elif hit != pair:
+            if hit & attached:
+                gain += min(cost, 1)
+            else:
+                attached |= hit
+                tree.add(eid)
+    return tree, gain
 
-    gain = 0
-    for eid, e in indexed:
-        if eid in tree_ids:
-            continue
-        if e.is_loop:
-            gain += 2
-        else:
-            in_forced = (e.u in forced) + (e.v in forced)
-            if in_forced == 0:
-                gain += min(e.internal_count, 2)
-            elif in_forced == 1:
-                gain += min(e.internal_count, 1)
-    return len(forced) + q.host_leaf_count + gain
+
+def achievable_leaves(q: ForcedLeafQuery) -> int | None:
+    """Maximum of |forced| + (leaves outside the high-degree set) over the
+    spanning trees keeping every forced vertex a leaf; None when infeasible.
+    See _forced_tree for the construction."""
+    if not forced_leaf_feasible(q):
+        return None
+    _, gain = _forced_tree(q.s.index, q.mask)
+    return len(q.forced) + q.host_leaf_count + gain
+
+
+def _chain(start: int, seq) -> list[tuple[int, int]]:
+    return [edge_key(a, b) for a, b in zip((start, *seq), seq)]
 
 
 def forced_leaf_tree(g: Graph, s: SuppressedGraph, forced: frozenset[int]) -> list[tuple[int, int]]:
@@ -315,82 +290,20 @@ def forced_leaf_tree(g: Graph, s: SuppressedGraph, forced: frozenset[int]) -> li
     q = ForcedLeafQuery(s, forced, len(graph_leaves(g)))
     if not forced_leaf_feasible(q):
         raise GraphError("forced set is infeasible")
-    keep = sorted(s.vertices - forced)
-    keep_idx = {v: i for i, v in enumerate(keep)}
-    indexed = list(enumerate(s.sedges))
-    tree_ids: set[int] = set()
-    parent = list(range(len(keep)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for eid, e in sorted(
-        (p for p in indexed if not p[1].is_loop and p[1].u in keep_idx and p[1].v in keep_idx),
-        key=lambda p: (p[1].cost, p[0]),
-    ):
-        ru, rv = find(keep_idx[e.u]), find(keep_idx[e.v])
-        if ru != rv:
-            parent[ru] = rv
-            tree_ids.add(eid)
-    attach_of: dict[int, int] = {}
-    for u in sorted(forced):
-        best = None
-        for eid, e in indexed:
-            if e.is_loop:
-                continue
-            if (e.u == u and e.v in keep_idx) or (e.v == u and e.u in keep_idx):
-                key = (e.cost, eid)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        attach_of[u] = best[1]
-        tree_ids.add(best[1])
-
+    tree, _ = _forced_tree(s.index, q.mask)
     edges: list[tuple[int, int]] = []
-    for eid, e in indexed:
-        path = list(e.path)
-        if eid in tree_ids:
-            for a, b in zip(path, path[1:]):
-                edges.append(edge_key(a, b))
-            continue
+    for eid, e in enumerate(s.sedges):
+        path = e.path
         inner = path[1:-1]
-        if e.is_loop:
-            # split the suppressed cycle into two chains off its anchor
-            if inner:
-                j = 1
-                left, right = inner[:j], inner[j:]
-                prev = e.u
-                for x in left:
-                    edges.append(edge_key(prev, x))
-                    prev = x
-                prev = e.v
-                for x in reversed(right):
-                    edges.append(edge_key(prev, x))
-                    prev = x
-            continue
-        in_forced = (e.u in forced) + (e.v in forced)
-        if not inner:
-            continue
-        if in_forced == 0:
-            left, right = inner[:1], inner[1:]
-            prev = e.u
-            for x in left:
-                edges.append(edge_key(prev, x))
-                prev = x
-            prev = e.v
-            for x in reversed(right):
-                edges.append(edge_key(prev, x))
-                prev = x
-        elif in_forced == 1:
-            anchored = e.v if e.u in forced else e.u
-            seq = list(reversed(inner)) if anchored == e.v else list(inner)
-            prev = anchored
-            for x in seq:
-                edges.append(edge_key(prev, x))
-                prev = x
+        if eid in tree:
+            edges += _chain(path[0], path[1:])
+        elif e.is_loop or (e.u not in forced and e.v not in forced):
+            # split the run into two chains, one off each endpoint
+            edges += _chain(e.u, inner[:1]) + _chain(e.v, inner[:0:-1])
+        elif e.v not in forced:  # u forced: the run hangs off v
+            edges += _chain(e.v, inner[::-1])
+        elif e.u not in forced:
+            edges += _chain(e.u, inner)
         # both forced: no inner vertices exist
     return sorted(set(edges))
 
@@ -398,19 +311,19 @@ def forced_leaf_tree(g: Graph, s: SuppressedGraph, forced: frozenset[int]) -> li
 # -- the decision procedure ----------------------------------------------------------
 
 
-def fpt_decide(
-    g: Graph,
-    k: int,
-    want_witness: bool = False,
-    workers: int = 1,
-) -> Verdict:
-    """YES iff the graph has a spanning tree with at least k leaves."""
+def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
+    """YES iff the graph has a spanning tree with at least k leaves.
+
+    Parallel edges are collapsed to one copy, and loops dropped, first; no
+    spanning tree uses either, so the answer is unchanged."""
     if k < 1:
         raise GraphError("k must be at least 1")
     if not is_connected(g):
         raise GraphError("decision procedure requires a connected graph")
     if g.n < 2:
         raise GraphError("need at least two vertices")
+    if not g.is_simple():
+        g = Graph(g.vertices, g.simple_edges())
 
     reduced, k2, steps = fpt_preprocess(g, k)
     stats = SolveStats(reductions_applied=len(steps), k_after_preprocess=k2)
@@ -426,74 +339,65 @@ def fpt_decide(
     if n3 >= 3 * k2 or len(host_leaves) >= k2 or k2 <= 2:
         witness = None
         if want_witness:
-            witness = lift_witness(_shortcut_witness(reduced, k2, workers))
+            witness = lift_witness(_shortcut_witness(reduced, k2, stats))
         return Verdict("YES", witness, stats)
 
     if n3 == 0:
         return Verdict("NO", None, stats)  # path or cycle, k2 > 2
 
     s = suppress(reduced)
-    host_leaf_count = len(host_leaves)
-    big = sorted(vertices_ge3(reduced))
-
-    hit = _enumerate_forced_sets(reduced, s, big, k2, host_leaf_count, stats, workers)
+    hit = _search_forced_sets(s, sorted(vertices_ge3(reduced)), k2, len(host_leaves), stats)
     if hit is None:
         return Verdict("NO", None, stats)
     witness = None
     if want_witness:
-        tree = forced_leaf_tree(reduced, s, hit)
-        witness = lift_witness(tree)
+        witness = lift_witness(forced_leaf_tree(reduced, s, hit))
     return Verdict("YES", witness, stats)
 
 
-def _subset_order(big: list[int], k: int):
-    # sizes ascending, colex within each size; YES-instances tend to exit
-    # early and the order is reproducible for the stats counters
-    for size in range(0, k + 1):
-        if size > len(big):
-            break
-        yield from sorted(itertools.combinations(big, size), key=lambda c: c[::-1])
+def _search_forced_sets(s, big, k, host_leaf_count, stats) -> frozenset[int] | None:
+    """First forced set over ``big`` of size at most k, by size and then in
+    colex order, whose achievable value reaches k.
 
-
-def _enumerate_forced_sets(g, s, big, k, host_leaf_count, stats, workers) -> frozenset[int] | None:
-    def check(combo) -> bool:
-        q = ForcedLeafQuery(s, frozenset(combo), host_leaf_count)
-        value = achievable_leaves(q)
-        return value is not None and value >= k
-
-    if workers <= 1:
-        for combo in _subset_order(big, k):
+    Feasibility is closed under subsets: dropping a vertex from a feasible F
+    adds to the kept side a vertex the kept side already dominates. So each
+    level is built from the feasible sets of the level below, keeping only
+    the candidates whose every one-smaller subset is feasible. The sets left
+    out are infeasible, so the first hit is the one exhaustive enumeration
+    would find. Each evaluated set counts in ``subsets_enumerated``, each
+    left out in ``subsets_pruned``."""
+    bit_of = {v: 1 << s.index.pos[v] for v in big}
+    level = {0: frozenset()}  # mask -> forced set
+    top = min(k, len(big))
+    for size in range(top + 1):
+        feasible = {}
+        for mask in sorted(level):  # ascending masks are colex order
+            forced = level[mask]
+            value = achievable_leaves(ForcedLeafQuery(s, forced, host_leaf_count))
             stats.subsets_enumerated += 1
-            if check(combo):
-                return frozenset(combo)
-        return None
-
-    combos = list(_subset_order(big, k))
-    chunk = max(1, len(combos) // (workers * 8))
-    chunks = [combos[i : i + chunk] for i in range(0, len(combos), chunk)]
-
-    def scan(part):
-        # position of the first hit, plus work done inside this chunk
-        for j, combo in enumerate(part):
-            if check(combo):
-                return j, combo
-        return len(part), None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(scan, chunks))
-    for part, (pos, combo) in zip(chunks, results):
-        if combo is not None:
-            stats.subsets_enumerated += pos + 1
-            return frozenset(combo)
-        stats.subsets_enumerated += len(part)
-    return None
+            if value is None:
+                continue
+            if value >= k:
+                return forced
+            feasible[mask] = forced
+        if size == top:
+            return None
+        # extending each feasible set only by vertices above its top one
+        # builds every candidate once
+        level = {
+            mask | bit: forced | {v}
+            for mask, forced in feasible.items()
+            for v, bit in bit_of.items()
+            if bit > mask and all((mask | bit) ^ bit_of[u] in feasible for u in forced)
+        }
+        stats.subsets_pruned += comb(len(big), size + 1) - len(level)
 
 
-def _shortcut_witness(g: Graph, k: int, workers: int = 1) -> list[tuple[int, int]]:
+def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, int]]:
     """Witness tree for the counting shortcuts. Degree-1 vertices are leaves
     of every spanning tree, so a search tree usually suffices; the greedy
-    builder covers the ratio shortcut, and the complete forced-set
-    enumeration is the guaranteed fallback."""
+    builder covers the ratio shortcut, and the forced-set search, counted in
+    ``stats``, is the guaranteed fallback."""
     from .potential import greedy_spanning_tree
 
     try:
@@ -506,9 +410,7 @@ def _shortcut_witness(g: Graph, k: int, workers: int = 1) -> list[tuple[int, int
     if not any(g.degree(v) >= 3 for v in g.vertices):
         return edges  # path or cycle: the shortcut fired on k <= 2
     s = suppress(g)
-    big = sorted(vertices_ge3(g))
-    stats = SolveStats()
-    hit = _enumerate_forced_sets(g, s, big, k, len(graph_leaves(g)), stats, workers)
+    hit = _search_forced_sets(s, sorted(vertices_ge3(g)), k, len(graph_leaves(g)), stats)
     if hit is None:
         raise GraphError("shortcut promised a tree the instance cannot deliver")
     return forced_leaf_tree(g, s, hit)

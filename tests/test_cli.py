@@ -52,7 +52,7 @@ def test_solve_json_stats_witness(capsys, q3_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "YES"
-    assert "subsets_enumerated" in doc["stats"]
+    assert {"subsets_enumerated", "subsets_pruned"} <= doc["stats"].keys()
     tree = [tuple(e) for e in doc["witness"]]
     assert verify_spanning_tree(q3(), tree) and tree_leaf_count(tree) >= 4
 
@@ -69,6 +69,15 @@ def test_solve_witness_reparses_as_graph(capsys, q3_file):
 def test_solve_reads_stdin(capsys):
     code, out, _ = run(capsys, "solve", "-k", "2", "-", stdin=write_graph(q3()))
     assert code == 0
+
+
+def test_solve_doubled_path(capsys):
+    # parallel edges count once: the doubled 11-vertex path has 2 leaves at most
+    text = "p 11 20\n" + "".join(f"e {i} {i + 1}\ne {i} {i + 1}\n" for i in range(1, 11))
+    code, out, _ = run(capsys, "solve", "-k", "3", "-", stdin=text)
+    assert code == 1 and out.strip() == "NO"
+    code, out, _ = run(capsys, "solve", "-k", "2", "--witness", "-", stdin=text)
+    assert code == 0 and out.splitlines()[0] == "YES"
 
 
 def test_detect_json_on_g7_minus(capsys, g7_minus_file):

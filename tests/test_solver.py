@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxleaf import potential, solver
 from maxleaf.graphs import Graph, GraphError, graph_leaves, suppress, vertices_ge3
 from maxleaf.generators import flowerbed, g7, necklace, necklace_ring, q3
 from maxleaf.solver import (
     CapacityError,
     ForcedLeafQuery,
+    SolveStats,
     achievable_leaves,
     exact_max_leaves,
     forced_leaf_feasible,
@@ -17,7 +21,13 @@ from maxleaf.solver import (
     verify_spanning_tree,
 )
 
-from conftest import brute_max_leaves, random_connected, spanning_trees, tree_leaves
+from conftest import (
+    brute_max_leaves,
+    exhaustive_forced_search,
+    random_connected,
+    spanning_trees,
+    tree_leaves,
+)
 
 
 # -- exact oracle ------------------------------------------------------------------
@@ -191,6 +201,85 @@ def test_achievable_invariant_under_tie_breaks(rng):
             assert achievable_leaves(ForcedLeafQuery(s2, frozenset(), hl)) == value
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_feasibility_closed_under_subsets(seed):
+    rng = random.Random(seed)
+    g = random_connected(rng.randint(4, 10), rng.randint(0, 6), rng)
+    if not any(g.degree(v) >= 3 for v in g.vertices):
+        return
+    s = suppress(g)
+    big = sorted(vertices_ge3(g))
+    for r in range(1, min(5, len(big)) + 1):
+        for combo in itertools.combinations(big, r):
+            if forced_leaf_feasible(ForcedLeafQuery(s, frozenset(combo), 0)):
+                for v in combo:
+                    assert forced_leaf_feasible(ForcedLeafQuery(s, frozenset(combo) - {v}, 0)), (sorted(g.edges()), combo, v)
+
+
+def test_search_matches_exhaustive_reference(rng):
+    searched = pruned = 0
+    for _ in range(60):
+        g = random_connected(rng.randint(4, 10), rng.randint(0, 6), rng)
+        if not any(g.degree(v) >= 3 for v in g.vertices):
+            continue
+        s = suppress(g)
+        big = sorted(vertices_ge3(g))
+        hl = len(graph_leaves(g))
+        for k in range(1, g.n):
+            stats = SolveStats()
+            hit = solver._search_forced_sets(s, big, k, hl, stats)
+            ref, ref_count = exhaustive_forced_search(s, big, k, hl)
+            assert hit == ref, (sorted(g.edges()), k)
+            assert stats.subsets_enumerated <= ref_count
+            if hit is None:  # every set of the exhaustive order is visited or pruned
+                assert stats.subsets_enumerated + stats.subsets_pruned == ref_count
+            searched += 1
+            pruned += stats.subsets_pruned
+    assert searched >= 200 and pruned > 0
+
+
+def test_flowerbed3_no_threshold_is_fast():
+    v = fpt_decide(flowerbed(3), 15)
+    assert not v.is_yes
+    # the exhaustive enumeration visited 9,740,686 forced sets here
+    assert v.stats.subsets_enumerated + v.stats.subsets_pruned == 9_740_686
+    assert v.stats.subsets_enumerated < 1000
+
+
+def dfs_tree(g):
+    """Depth-first spanning tree, smallest neighbour first: few leaves."""
+    root = min(g.vertices)
+    seen, stack, edges = {root}, [root], []
+    while stack:
+        nxt = [w for w in sorted(g.neighbors(stack[-1])) if w not in seen]
+        if not nxt:
+            stack.pop()
+            continue
+        edges.append((stack[-1], nxt[0]))
+        seen.add(nxt[0])
+        stack.append(nxt[0])
+    return edges, None
+
+
+def test_stats_count_shortcut_fallback(monkeypatch):
+    # a path with chords i -- i+6: ten degree-3 vertices, so the ratio
+    # shortcut fires at k=3, and a greedy builder returning the path itself
+    # leaves the forced-set search to find the witness
+    g = Graph(edges=[(i, i + 1) for i in range(1, 12)] + [(i, i + 6) for i in range(1, 7)])
+    calls = []
+
+    def counted(q):
+        calls.append(q.forced)
+        return achievable_leaves(q)
+
+    monkeypatch.setattr(potential, "greedy_spanning_tree", dfs_tree)
+    monkeypatch.setattr(solver, "achievable_leaves", counted)
+    v = fpt_decide(g, 3, want_witness=True)
+    assert v.is_yes and verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= 3
+    assert v.stats.subsets_enumerated == len(calls) > 0
+
+
 # -- the decision procedure ----------------------------------------------------------------
 
 
@@ -262,19 +351,31 @@ def test_path_and_cycle_say_no_above_two():
     assert not fpt_decide(cyc, 3).is_yes
 
 
-def test_worker_count_does_not_change_results(rng):
-    for _ in range(8):
-        g = random_connected(rng.randint(5, 10), rng.randint(0, 4), rng)
-        for k in (3, 4, max(2, g.n - 3)):
-            a = fpt_decide(g, k, workers=1)
-            b = fpt_decide(g, k, workers=3)
-            assert a.answer == b.answer
-            assert a.stats.subsets_enumerated == b.stats.subsets_enumerated
-
-
 def test_necklace_instances():
     g = necklace(2)
     g.add_edge(1, 7)
     opt, _ = exact_max_leaves(g)
     assert opt == 4
     assert fpt_decide(g, 4).is_yes and not fpt_decide(g, 5).is_yes
+
+
+def test_multigraph_doubled_path():
+    g = Graph(edges=[(i, i + 1) for i in range(1, 11)] * 2)
+    assert not fpt_decide(g, 3).is_yes
+    v = fpt_decide(g, 2, want_witness=True)
+    assert v.is_yes and verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_multigraphs_agree_with_brute_force(seed):
+    rng = random.Random(seed)
+    g = random_connected(rng.randint(2, 8), rng.randint(0, 3), rng)
+    pairs = sorted(set(g.edges()))
+    for _ in range(rng.randint(1, 6)):
+        g.add_edge(*rng.choice(pairs))
+    opt = brute_max_leaves(g)
+    for k in range(1, g.n + 1):
+        assert fpt_decide(g, k).is_yes == (opt >= k), (sorted(g.edges()), k)
+    v = fpt_decide(g, opt, want_witness=True)
+    assert verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= opt
