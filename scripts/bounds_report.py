@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from maxleaf.generators import flowerbed, g7, necklace_ring, q3
-from maxleaf.graphs import n_ge3
+from maxleaf.graphs import tree_leaf_count
 from maxleaf.potential import greedy_spanning_tree
 from maxleaf.solver import exact_max_leaves, fpt_decide
 
@@ -29,17 +29,9 @@ def solve_exact(name, g, expected):
     greedy, _ = greedy_spanning_tree(g)
     print(
         f"{name:<18} n={g.n:<4} optimum={best:<3} expected={expected:<3} "
-        f"greedy={len([v for v in _iter_leaf(greedy)]):<3} ({time.time()-t0:.2f}s)"
+        f"greedy={tree_leaf_count(greedy):<3} ({time.time()-t0:.2f}s)"
     )
     return best == expected
-
-
-def _iter_leaf(edges):
-    deg = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return [x for x, d in deg.items() if d == 1]
 
 
 def solve_threshold(name, g, expected):

@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from maxleaf.generators import GeneratorError, random_invariant_graph
-from maxleaf.graphs import Graph, connected_components, n_ge3
+from maxleaf.graphs import Graph, connected_components, n_ge3, tree_leaf_count
 from maxleaf.patterns import check_invariant
 from maxleaf.reductions import (
     HIGH_RULES,
@@ -27,18 +27,11 @@ from maxleaf.reductions import (
     admissible,
     apply_rule,
     find_matches,
+    reconstruct_chain,
     reconstruct_tree,
     reduce_to_irreducible,
 )
 from maxleaf.solver import exact_max_leaves
-
-
-def leaf_count(edges) -> int:
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return sum(1 for d in deg.values() if d == 1)
 
 
 def exact_forest(g: Graph) -> set:
@@ -91,9 +84,9 @@ def main():
                 bound = Fraction(n_ge3(g), 3) + alpha * k_nt - 2 * (k_nt - 1)
                 pipelines += 1
                 rule_tally[rule] += 1
-                if Fraction(leaf_count(lifted)) < bound:
+                if Fraction(tree_leaf_count(lifted)) < bound:
                     violations += 1
-                    print(f"round {i}: {rule} pipeline misses {leaf_count(lifted)} < {bound}")
+                    print(f"round {i}: {rule} pipeline misses {tree_leaf_count(lifted)} < {bound}")
                 break
 
         # full chains: validity only
@@ -101,14 +94,12 @@ def main():
         if not steps:
             continue
         chains += 1
-        from maxleaf.reductions import reconstruct_chain
-
         lifted = reconstruct_chain(g, steps, exact_forest(irr))
         if len(lifted) != g.n - 1:
             violations += 1
             print(f"round {i}: chain lift is not a spanning tree")
         bound = Fraction(n_ge3(g), 3) + Fraction(4, 3)
-        if Fraction(leaf_count(lifted)) >= bound:
+        if Fraction(tree_leaf_count(lifted)) >= bound:
             chain_ratio_hits += 1
 
     print(f"\n{pipelines} single-rule pipelines, applications: {dict(rule_tally)}")

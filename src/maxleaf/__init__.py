@@ -14,7 +14,6 @@ from .graphs import (  # noqa: F401
     bridges_and_cut_vertices,
     connected_components,
     is_connected,
-    outside_subgraph,
     parse_graph,
     suppress,
     to_dot,

@@ -1,5 +1,6 @@
-"""Mutable multigraph over integer vertex ids, plus the derived structures
-(degree-2 suppression, subgraph-with-outside) everything else builds on.
+"""Mutable multigraph over integer vertex ids, the derived structures
+(degree-2 suppression, subgraphs) everything else builds on, and the shared
+primitives: component counting, leaf counting and bitmask reachability.
 
 Vertex ids are stable: deleting a vertex leaves a hole instead of renumbering,
 so recorded matches and reduction traces stay valid across mutations.
@@ -11,7 +12,7 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class GraphError(Exception):
@@ -154,9 +155,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in self._adj), default=0)
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in self._adj), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -170,24 +168,6 @@ class Graph:
 
 
 # -- vertex classes ----------------------------------------------------------
-
-GOOBER = "goober"
-DEGREE3 = "degree3"
-HIGH_DEGREE = "high-degree"
-
-
-def vertex_class(g: Graph, v: int) -> str:
-    d = g.degree(v)
-    if d <= 2:
-        return GOOBER
-    if d == 3:
-        return DEGREE3
-    return HIGH_DEGREE
-
-
-def classify_vertices(g: Graph) -> dict[int, str]:
-    return {v: vertex_class(g, v) for v in g.vertices}
-
 
 def is_goober(g: Graph, v: int) -> bool:
     return g.degree(v) <= 2
@@ -205,6 +185,16 @@ def vertices_ge3(g: Graph) -> set[int]:
 def graph_leaves(g: Graph) -> set[int]:
     """Degree-1 vertices."""
     return {v for v in g.vertices if g.degree(v) == 1}
+
+
+def tree_leaf_count(edges: Iterable[tuple[int, int]]) -> int:
+    """Vertices meeting exactly one of the edges: the leaves of a tree or
+    forest given by its edge list."""
+    deg: Counter[int] = Counter()
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return sum(1 for d in deg.values() if d == 1)
 
 
 # -- connectivity -------------------------------------------------------------
@@ -231,6 +221,42 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
+
+
+def component_count(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> int:
+    """Components of the graph on ``vertices`` with the given edges, whose
+    endpoints must all be among the vertices (union-find)."""
+    parent = {v: v for v in vertices}
+    count = len(parent)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            count -= 1
+    return count
+
+
+def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
+    """Bits reachable from the ``start`` bits through vertices of ``within``,
+    where ``adj[i]`` is the neighbour mask of the vertex owning bit i. Walks
+    one breadth-first layer at a time."""
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= adj[bit.bit_length() - 1]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def bridges_and_cut_vertices(g: Graph) -> tuple[set[tuple[int, int]], set[int]]:
@@ -535,7 +561,7 @@ def suppress(g: Graph) -> SuppressedGraph:
     return SuppressedGraph(frozenset(anchors), sedges)
 
 
-# -- subgraphs and the graph outside them ---------------------------------------
+# -- subgraphs -------------------------------------------------------------------
 
 class SubgraphF:
     """A subgraph of a host graph: a vertex set plus an edge subset. Component
@@ -563,35 +589,11 @@ class SubgraphF:
         self.dead_leaves = frozenset(
             v for v in self.leaves if all(w in self.vertices for w in host.neighbors(v))
         )
-        self.cc = self._count_components()
+        self.cc = component_count(self.vertices, self.edges)
 
     @classmethod
     def empty(cls, host: Graph) -> "SubgraphF":
         return cls(host, (), ())
-
-    def _count_components(self) -> int:
-        seen: set[int] = set()
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        count = 0
-        for start in self.vertices:
-            if start in seen:
-                continue
-            count += 1
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-        return count
-
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
 
     def is_spanning(self) -> bool:
         return self.vertices == self.host.vertices
@@ -626,15 +628,3 @@ class SubgraphF:
     def __repr__(self) -> str:
         return f"SubgraphF(|V|={len(self.vertices)}, |E|={len(self.edges)}, cc={self.cc})"
 
-
-def outside_subgraph(g: Graph, f: SubgraphF) -> Graph:
-    """Edge-induced graph on the edges with at least one endpoint outside the
-    subgraph's vertex set."""
-    if f.is_spanning():
-        raise GraphError("subgraph is spanning; there is no outside")
-    out = Graph()
-    for u, v in set(g.edges()):
-        if u not in f.vertices or v not in f.vertices:
-            for _ in range(g.multiplicity(u, v)):
-                out.add_edge(u, v)
-    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, SubgraphF, is_connected, is_goober, n_ge3
+from .graphs import Graph, GraphError, SubgraphF, connected_components, is_connected, is_goober, n_ge3
 from .patterns import check_invariant
 
 
@@ -138,7 +138,7 @@ def _join_components(g: Graph, f: SubgraphF) -> SubgraphF:
     """Connect the subgraph's components with host edges, preferring joins
     that sacrifice the fewest leaves."""
     while f.cc > 1:
-        comp = _component_of(f, min(f.vertices))
+        comp = connected_components(Graph(f.vertices, f.edges))[0]  # holds min(f.vertices)
         best = None
         for u in sorted(comp):
             for w in sorted(g.neighbors(u)):
@@ -153,22 +153,6 @@ def _join_components(g: Graph, f: SubgraphF) -> SubgraphF:
         _, u, w = best
         f = f.with_additions((), [(u, w)])
     return f
-
-
-def _component_of(f: SubgraphF, start: int) -> set[int]:
-    adj: dict[int, list[int]] = {v: [] for v in f.vertices}
-    for u, v in f.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 def _absorb_isolated(g: Graph, f: SubgraphF) -> SubgraphF:
@@ -224,31 +208,6 @@ def _greedy_from(g: Graph, start: int) -> SubgraphF:
     return f
 
 
-def _break_cycles(g: Graph, f: SubgraphF) -> SubgraphF:
-    """Drop edges until the subgraph is a forest, preferring removals that do
-    not lose leaves. Expansion-built subgraphs are already forests; this is a
-    safety net for arbitrary inputs."""
-    while len(f.edges) > len(f.vertices) - f.cc:
-        cycle_edge_best = None
-        deg = {v: 0 for v in f.vertices}
-        for u, v in f.edges:
-            deg[u] += 1
-            deg[v] += 1
-        for e in sorted(f.edges):
-            u, v = e
-            trial = SubgraphF(g, f.vertices, set(f.edges) - {e})
-            if trial.cc != f.cc:
-                continue
-            gain = len(trial.leaves) - len(f.leaves)
-            key = (-gain, e)
-            if cycle_edge_best is None or key < cycle_edge_best[0]:
-                cycle_edge_best = (key, trial)
-        if cycle_edge_best is None:
-            raise GraphError("could not break a cycle")
-        f = cycle_edge_best[1]
-    return f
-
-
 def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialReport]:
     """Best-effort many-leaf spanning tree of a connected graph.
 
@@ -268,8 +227,6 @@ def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialRepor
         reduced, steps = reduce_to_irreducible(g)
         if steps:
             forest: set[tuple[int, int]] = set()
-            from .graphs import connected_components
-
             for comp in connected_components(reduced):
                 if len(comp) < 2:
                     continue
@@ -285,9 +242,7 @@ def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialRepor
 
     best: SubgraphF | None = None
     for start in sorted(g.vertices):
-        f = _greedy_from(g, start)
-        f = _break_cycles(g, f)
-        f = _join_components(g, f)
+        f = _join_components(g, _greedy_from(g, start))
         if best is None or len(f.leaves) > len(best.leaves):
             best = f
     assert best is not None

@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 from .graphs import (
     Graph,
     GraphError,
+    bridges_and_cut_vertices,
+    component_count,
     connected_components,
     edge_key,
     is_goober,
     n_ge3,
+    tree_leaf_count,
 )
 from .patterns import (
     KIND_2T_BLOSSOM,
@@ -544,75 +547,71 @@ def _shared_end_reason(g: Graph, match: RuleMatch) -> str | None:
     return None
 
 
-def admissible(g: Graph, match: RuleMatch) -> tuple[bool, str]:
-    """Full admissibility verdict with the violated condition on failure."""
+def _vet(g: Graph, match: RuleMatch) -> tuple[str | None, RewritePlan | None, Graph | None]:
+    """The admissibility check behind admissible and apply_rule: the
+    violated condition (None when the rule applies) and, once built, the
+    rewrite plan and the rewritten graph."""
     if not _template_fits(g, match):
         raise InadmissibleError(match.rule_id, "match does not fit the rule template")
     rid = match.rule_id
     r = match.roles
 
-    if rid in FPT_RULES:
-        return True, "ok"
-
-    reason = _shared_end_reason(g, match)
-    if reason:
-        return False, reason
-
-    if rid == "R5":
-        from .graphs import bridges_and_cut_vertices
-
-        if g.multiplicity(r["u"], r["v"]) == 1:
+    if rid not in FPT_RULES:
+        reason = _shared_end_reason(g, match)
+        if reason:
+            return reason, None, None
+        if rid == "R5" and g.multiplicity(r["u"], r["v"]) == 1:
             bridges, _ = bridges_and_cut_vertices(g)
             if edge_key(r["u"], r["v"]) in bridges:
-                return False, "bridge"
+                return "bridge", None, None
 
     plan = build_plan(g, match)
+    probe = ReductionStep(
+        rid, (), plan.removed_vertices, plan.removed_edges, plan.added_vertices,
+        plan.added_edges, 0, 0,
+    )
+    if rid in FPT_RULES:
+        return None, plan, probe.replay(g)
     try:
-        after = ReductionStep(
-            rid, (), plan.removed_vertices, plan.removed_edges, plan.added_vertices,
-            plan.added_edges, 0, 0,
-        ).replay(g)
+        after = probe.replay(g)
     except GraphError as exc:
-        return False, f"rewrite not executable: {exc}"
+        return f"rewrite not executable: {exc}", None, None
 
     cc_before = len(connected_components(g))
     cc_after = len(connected_components(after))
     if rid == "R3" and cc_after != cc_before:
-        return False, "connectivity"
+        return "connectivity", None, None
     if rid == "R4" and cc_after <= cc_before:
-        return False, "connectivity"
+        return "connectivity", None, None
     if rid == "R3" and g.has_edge(r["u"], r["w"]):
-        return False, "edge uw already present"
+        return "edge uw already present", None, None
 
-    touched = set(plan.removed_vertices) | set(plan.added_vertices)
-    for u, v in plan.removed_edges + plan.added_edges:
-        touched |= {u, v}
     # scanning only structures that meet the touched set is complete: a
     # forbidden structure avoiding every touched vertex existed before
-    created = introduces_forbidden(g, after, touched)
+    created = introduces_forbidden(g, after, probe.touched())
     if created is not None:
-        return False, f"creates a new {created.kind}"
+        return f"creates a new {created.kind}", None, None
     if check_invariant(g).ok:
         comps = connected_components(after)
         for comp in comps:
             if len(comps) > 1 and not any(after.degree(v) <= 2 for v in comp):
-                return False, "would violate the invariant (component-without-goober)"
+                return "would violate the invariant (component-without-goober)", None, None
             if not _simple_or_k2e(after, comp):
-                return False, "would violate the invariant (multi-edge)"
-    return True, "ok"
+                return "would violate the invariant (multi-edge)", None, None
+    return None, plan, after
+
+
+def admissible(g: Graph, match: RuleMatch) -> tuple[bool, str]:
+    """Full admissibility verdict with the violated condition on failure."""
+    reason, _, _ = _vet(g, match)
+    return reason is None, reason or "ok"
 
 
 def apply_rule(g: Graph, match: RuleMatch) -> tuple[Graph, ReductionStep]:
     """Apply one rule; raises InadmissibleError with the reason otherwise."""
-    ok, reason = admissible(g, match)
-    if not ok:
+    reason, plan, after = _vet(g, match)
+    if reason is not None:
         raise InadmissibleError(match.rule_id, reason)
-    plan = build_plan(g, match)
-    probe = ReductionStep(
-        match.rule_id, (), plan.removed_vertices, plan.removed_edges,
-        plan.added_vertices, plan.added_edges, 0, 0,
-    )
-    after = probe.replay(g)
     return after, _plan_to_step(g, after, match, plan)
 
 
@@ -629,17 +628,15 @@ def reduce_to_irreducible(g: Graph) -> tuple[Graph, list[ReductionStep]]:
     while progressed:
         progressed = False
         for rule_id in LOW_RULES + HIGH_RULES:
-            applied_here = False
             for match in find_matches(cur, rule_id):
-                ok, _ = admissible(cur, match)
-                if not ok:
+                try:
+                    cur, step = apply_rule(cur, match)
+                except InadmissibleError:
                     continue
-                cur, step = apply_rule(cur, match)
                 steps.append(step)
-                applied_here = True
-                break
-            if applied_here:
                 progressed = True
+                break
+            if progressed:
                 break
         if len(steps) > budget:
             raise GraphError("reduction did not terminate within its budget")
@@ -663,35 +660,6 @@ def fpt_preprocess(g: Graph, k: int) -> tuple[Graph, int, list[ReductionStep]]:
 # -- tree reconstruction ------------------------------------------------------------
 
 
-def _forest_leaves(edges: set[tuple[int, int]]) -> int:
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return sum(1 for d in deg.values() if d == 1)
-
-
-def _is_spanning_forest(g: Graph, edges: set[tuple[int, int]]) -> bool:
-    """Edges form a spanning tree of every component of g."""
-    parent = {v: v for v in g.vertices}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    comps = len({find(v) for v in g.vertices})
-    return comps == len(connected_components(g))
-
-
 def reconstruct_tree(
     g_before: Graph, step: ReductionStep, forest_edges: set[tuple[int, int]]
 ) -> set[tuple[int, int]]:
@@ -702,14 +670,16 @@ def reconstruct_tree(
     count. Raises ReconstructionError when the leaf contract cannot be met.
     """
     g_after = step.replay(g_before)
+    comps_after = connected_components(g_after)
+    cc_pre = len(connected_components(g_before))
     forest_edges = {edge_key(u, v) for u, v in forest_edges}
-    for comp in connected_components(g_after):
+    for comp in comps_after:
         if len(comp) < 2:
             continue
         inside = {e for e in forest_edges if e[0] in comp and e[1] in comp}
         if len(inside) != len(comp) - 1:
             raise ReconstructionError("input forest does not span a component")
-    leaves_after = _forest_leaves(forest_edges)
+    leaves_after = tree_leaf_count(forest_edges)
 
     added_vs = set(step.added_vertices)
     added_es = set(step.added_edges)
@@ -719,32 +689,35 @@ def reconstruct_tree(
     }
     pool_edges: list[tuple[int, int]] = []
     removed_vs = set(step.removed_vertices)
+    removed_es = set(step.removed_edges)
     for u, v in set(g_before.edges()):
         e = edge_key(u, v)
-        if (u in removed_vs or v in removed_vs or e in set(step.removed_edges)) and e not in kept:
+        if (u in removed_vs or v in removed_vs or e in removed_es) and e not in kept:
             pool_edges.append(e)
     pool_edges = sorted(set(pool_edges))
 
-    n_pre = g_before.n
-    cc_pre = len(connected_components(g_before))
-    need = (n_pre - cc_pre) - len(kept)
+    need = (g_before.n - cc_pre) - len(kept)
     if need < 0:
         raise ReconstructionError("kept forest is larger than a spanning forest")
 
+    # every candidate has n - cc_pre distinct edges, so once they are edges
+    # of the pre-graph it spans it exactly when it leaves cc_pre components
     best: set[tuple[int, int]] | None = None
     best_leaves = -1
-    for extra in itertools.combinations(pool_edges, need):
-        cand = kept | set(extra)
-        if not _is_spanning_forest(g_before, cand):
-            continue
-        leaves = _forest_leaves(cand)
-        if leaves > best_leaves:
-            best_leaves = leaves
-            best = cand
+    vertices = g_before.vertices
+    if all(g_before.has_edge(u, v) for u, v in kept):
+        for extra in itertools.combinations(pool_edges, need):
+            cand = kept | set(extra)
+            if component_count(vertices, cand) != cc_pre:
+                continue
+            leaves = tree_leaf_count(cand)
+            if leaves > best_leaves:
+                best_leaves = leaves
+                best = cand
     if best is None:
         raise ReconstructionError("no completion spans the original graph")
 
-    nontrivial = sum(1 for comp in connected_components(g_after) if len(comp) >= 2)
+    nontrivial = sum(1 for comp in comps_after if len(comp) >= 2)
     if step.rule_id in FPT_RULES:
         if best_leaves < leaves_after + 1:
             raise ReconstructionError("lift lost the extra leaf of an FPT step")
@@ -752,7 +725,7 @@ def reconstruct_tree(
         # when a rewrite leaves a low-degree vertex behind, trees of the
         # reduced graph carry a stronger leaf guarantee, worth 2/3 here
         slack = 0
-        if nontrivial <= len(connected_components(g_before)):
+        if nontrivial <= cc_pre:
             made_goober = any(
                 g_after.degree(v) <= 2
                 and (v in added_vs or (g_before.has_vertex(v) and g_before.degree(v) >= 3))

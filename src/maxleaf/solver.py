@@ -21,11 +21,14 @@ from .graphs import (
     GraphError,
     SuppressedGraph,
     SuppressedIndex,
+    component_count,
     edge_key,
     graph_leaves,
     is_connected,
     n_ge3,
+    reach_mask,
     suppress,
+    tree_leaf_count,
     vertices_ge3,
 )
 from .reductions import fpt_preprocess, reconstruct_chain
@@ -91,27 +94,13 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
 
     order = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(order)}
-    adj: dict[int, int] = {v: 0 for v in order}
+    adj = [0] * len(order)  # neighbour mask per position
     for u, w in set(g.edges()):
         if u != w:
-            adj[u] |= 1 << idx[w]
-            adj[w] |= 1 << idx[u]
-    closed = {v: adj[v] | (1 << idx[v]) for v in order}
+            adj[idx[u]] |= 1 << idx[w]
+            adj[idx[w]] |= 1 << idx[u]
+    closed = {v: adj[idx[v]] | (1 << idx[v]) for v in order}
     full = (1 << len(order)) - 1
-
-    def connected_mask(mask: int) -> bool:
-        low = mask & -mask
-        seen = low
-        frontier = [order[low.bit_length() - 1]]
-        while frontier:
-            v = frontier.pop()
-            nxt = adj[v] & mask & ~seen
-            while nxt:
-                bit = nxt & -nxt
-                nxt ^= bit
-                seen |= bit
-                frontier.append(order[bit.bit_length() - 1])
-        return seen == mask
 
     max_deg = max(g.degree(v) for v in order)
     lower = 1 if max_deg >= g.n - 1 else max(1, -(-(g.n - 2) // (max_deg - 1)) if max_deg > 1 else g.n - 2)
@@ -122,19 +111,19 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
             for v in combo:
                 mask |= 1 << idx[v]
                 dom |= closed[v]
-            if dom != full or not connected_mask(mask):
+            if dom != full or reach_mask(adj, mask & -mask, mask) != mask:
                 continue
-            internal = set(combo)
-            tree = _tree_from_internal_set(g, internal)
-            return g.n - size, tree
-    # fall back: a path (two leaves) always exists
-    internal_path = _hamiltonianish_fallback(g)
-    return 2, internal_path
+            return g.n - size, _tree_from_internal_set(g, set(combo))
+    # fall back: a path (two leaves) always exists; only reached when every
+    # smaller internal set fails, i.e. the best tree is a spanning path
+    return 2, _tree_from_internal_set(g, g.vertices)
 
 
 def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int]]:
-    """Spanning tree whose non-leaves are exactly the given connected
-    dominating set: a tree inside the set plus one pendant edge per outsider."""
+    """Spanning tree whose non-leaves lie in the given connected dominating
+    set: the breadth-first tree of the set from its smallest vertex, sorted
+    neighbours first, plus one pendant edge per outsider. With every vertex
+    internal it is the graph's breadth-first spanning tree."""
     order = sorted(internal)
     tree: list[tuple[int, int]] = []
     seen = {order[0]}
@@ -152,50 +141,13 @@ def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int
     return sorted(tree)
 
 
-def _hamiltonianish_fallback(g: Graph) -> list[tuple[int, int]]:
-    # breadth-first spanning tree; only reached when every smaller internal
-    # set fails, i.e. the best tree is a spanning path
-    root = min(g.vertices)
-    seen = {root}
-    frontier = [root]
-    edges = []
-    while frontier:
-        v = frontier.pop(0)
-        for w in sorted(g.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                edges.append(edge_key(v, w))
-                frontier.append(w)
-    return sorted(edges)
-
-
-def tree_leaf_count(edges: list[tuple[int, int]]) -> int:
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return sum(1 for d in deg.values() if d == 1)
-
-
 def verify_spanning_tree(g: Graph, edges: list[tuple[int, int]]) -> bool:
-    if len(edges) != g.n - 1:
-        return False
-    parent = {v: v for v in g.vertices}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """The edges are n - 1 edges of g joining all its vertices."""
+    return (
+        len(edges) == g.n - 1
+        and all(g.has_edge(u, v) for u, v in edges)
+        and component_count(g.vertices, edges) == 1
+    )
 
 
 # -- forced-leaf subroutine --------------------------------------------------------
@@ -216,17 +168,7 @@ def forced_leaf_feasible(q: ForcedLeafQuery) -> bool:
         p = ix.pos[v]
         if ix.heavy[p] & forced or not ix.adj[p] & keep:
             return False  # a costly edge between forced vertices, or undominated
-    # connectivity of the kept side, one breadth-first layer at a time
-    seen = frontier = keep & -keep
-    while frontier:
-        reach = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            reach |= ix.adj[bit.bit_length() - 1]
-        frontier = reach & keep & ~seen
-        seen |= frontier
-    return seen == keep
+    return reach_mask(ix.adj, keep & -keep, keep) == keep  # kept side connected
 
 
 def _forced_tree(ix: SuppressedIndex, forced: int) -> tuple[set[int], int]:
@@ -404,7 +346,7 @@ def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, in
         edges, _ = greedy_spanning_tree(g)
         edges = sorted(edges)
     except GraphError:
-        edges = _hamiltonianish_fallback(g)
+        edges = _tree_from_internal_set(g, g.vertices)
     if tree_leaf_count(edges) >= k:
         return edges
     if not any(g.degree(v) >= 3 for v in g.vertices):

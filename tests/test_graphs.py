@@ -12,19 +12,18 @@ from maxleaf.graphs import (
     RangeError,
     SubgraphF,
     bridges_and_cut_vertices,
-    classify_vertices,
+    component_count,
     connected_components,
     edge_key,
-    outside_subgraph,
     parse_graph,
+    reach_mask,
     suppress,
     to_dot,
-    vertex_class,
     write_graph,
 )
 from maxleaf.generators import flowerbed, flower, g7, q3
 
-from conftest import naive_bridges_and_cuts, random_multigraph
+from conftest import naive_bridges_and_cuts, naive_components, random_multigraph
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -124,14 +123,6 @@ def test_remove_vertex_leaves_hole():
     assert 9 in g.vertices
 
 
-def test_vertex_classes_recompute_after_mutation():
-    g = Graph(edges=[(1, 2), (1, 3), (1, 4), (1, 5)])
-    assert vertex_class(g, 1) == "high-degree"
-    assert vertex_class(g, 2) == "goober"
-    g.remove_edge(1, 5)
-    assert classify_vertices(g)[1] == "degree3"
-
-
 # -- connectivity --------------------------------------------------------------------
 
 
@@ -175,6 +166,28 @@ def test_bridges_against_naive_recompute():
         n = rng.randint(2, 30)
         g = random_multigraph(n, rng.randint(1, min(40, 2 * n)), rng)
         assert bridges_and_cut_vertices(g) == naive_bridges_and_cuts(g), trial
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_component_count_hypothesis(seed):
+    rng = random.Random(seed)
+    g = random_multigraph(rng.randint(1, 12), rng.randint(0, 18), rng)
+    assert component_count(g.vertices, g.edges()) == len(naive_components(g))
+
+
+def test_reach_mask_against_components(rng):
+    for trial in range(150):
+        n = rng.randint(1, 14)
+        g = random_multigraph(n, rng.randint(0, 2 * n), rng)
+        order = sorted(g.vertices)
+        adj = [sum(1 << (w - 1) for w in g.neighbors(v) if w != v) for v in order]
+        inside = {v for v in order if rng.random() < 0.6} or {order[0]}
+        within = sum(1 << (v - 1) for v in inside)
+        start = min(inside)
+        sub = Graph(vertices=inside, edges=[(u, v) for u, v in g.edges() if {u, v} <= inside])
+        comp = next(c for c in connected_components(sub) if start in c)
+        assert reach_mask(adj, 1 << (start - 1), within) == sum(1 << (v - 1) for v in comp), trial
 
 
 # -- suppression ----------------------------------------------------------------------
@@ -237,37 +250,7 @@ def test_suppress_requires_connected():
         suppress(g)
 
 
-# -- subgraphs and the outside -----------------------------------------------------------
-
-
-def test_outside_of_empty_subgraph_is_whole_graph():
-    g = q3()
-    f = SubgraphF.empty(g)
-    out = outside_subgraph(g, f)
-    assert out.edge_multiset() == g.edge_multiset()
-
-
-def test_outside_keeps_edges_with_one_end_outside():
-    g = Graph(edges=[(1, 2), (2, 3)])
-    f = SubgraphF(g, {1}, ())
-    out = outside_subgraph(g, f)
-    assert set(out.edges()) == {(1, 2), (2, 3)}
-
-
-def test_outside_g7_star():
-    g = g7()
-    nbhd = {1, 2, 3, 4, 5}  # closed neighborhood of the degree-4 center
-    f = SubgraphF(g, nbhd, [(1, 2), (1, 3), (1, 4), (1, 5)])
-    out = outside_subgraph(g, f)
-    expect = {(2, 6), (5, 6), (3, 7), (4, 7), (6, 7)}
-    assert set(out.edges()) == expect
-
-
-def test_outside_rejects_spanning():
-    g = Graph(edges=[(1, 2)])
-    f = SubgraphF(g, {1, 2}, [(1, 2)])
-    with pytest.raises(GraphError):
-        outside_subgraph(g, f)
+# -- subgraphs -----------------------------------------------------------------------
 
 
 def test_subgraph_validates_edges():

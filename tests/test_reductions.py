@@ -12,6 +12,7 @@ from maxleaf.generators import (
     q3,
     random_invariant_graph,
 )
+from maxleaf import reductions
 from maxleaf.patterns import check_invariant
 from maxleaf.reductions import (
     HIGH_RULES,
@@ -214,6 +215,32 @@ def test_reduce_terminates_and_yields_irreducible(rng):
         for step in steps:
             cur = step.replay(cur)
         assert cur == reduced
+
+
+def test_each_rule_application_is_checked_once(monkeypatch):
+    counts = {"apply_rule": 0, "build_plan": 0, "replay": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("admissible called during reduction")
+
+    monkeypatch.setattr(reductions, "apply_rule", counting("apply_rule", reductions.apply_rule))
+    monkeypatch.setattr(reductions, "build_plan", counting("build_plan", reductions.build_plan))
+    monkeypatch.setattr(ReductionStep, "replay", counting("replay", ReductionStep.replay))
+    monkeypatch.setattr(reductions, "admissible", refuse)
+    for n, degree, seed in ((16, 3, 1), (20, 2, 7)):
+        for key in counts:
+            counts[key] = 0
+        _, steps = reduce_to_irreducible(random_invariant_graph(n, degree, seed=seed))
+        assert steps
+        # a rejected attempt stops before planning or right after replaying
+        assert counts["replay"] == counts["build_plan"] <= counts["apply_rule"]
+        assert counts["build_plan"] >= len(steps)
 
 
 def test_invariant_preserved_along_reductions(rng):

@@ -74,6 +74,16 @@ def test_exact_matches_brute_force(rng):
         assert tree_leaf_count(tree) == mine
 
 
+def test_verify_spanning_tree_rejects_non_trees():
+    g = Graph(edges=[(1, 2), (2, 3), (3, 1), (3, 4)])
+    assert verify_spanning_tree(g, [(1, 2), (2, 3), (3, 4)])
+    assert not verify_spanning_tree(g, [(1, 2), (1, 2), (3, 4)])  # repeated edge
+    assert not verify_spanning_tree(g, [(1, 2), (2, 4), (3, 4)])  # non-edge
+    assert not verify_spanning_tree(g, [(1, 2), (2, 3), (3, 9)])  # vertex not in g
+    assert not verify_spanning_tree(g, [(1, 2), (2, 3)])  # too few edges
+    assert not verify_spanning_tree(g, [(1, 2), (2, 3), (3, 1)])  # cycle, 4 left out
+
+
 # -- forced-leaf machinery ---------------------------------------------------------------
 
 
