@@ -11,7 +11,6 @@ from .graphs import (  # noqa: F401
     SEdge,
     SubgraphF,
     SuppressedGraph,
-    bridges_and_cut_vertices,
     connected_components,
     is_connected,
     parse_graph,

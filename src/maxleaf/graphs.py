@@ -8,7 +8,6 @@ so recorded matches and reduction traces stay valid across mutations.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -199,28 +198,35 @@ def tree_leaf_count(edges: Iterable[tuple[int, int]]) -> int:
 
 # -- connectivity -------------------------------------------------------------
 
+def _component_of(g: Graph, start: int) -> set[int]:
+    """Vertices reachable from ``start``, breadth first."""
+    comp = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in comp:
+                comp.add(w)
+                queue.append(w)
+    return comp
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertices into maximal connected sets."""
     seen: set[int] = set()
     parts: list[frozenset[int]] = []
     for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        parts.append(frozenset(comp))
+        if start not in seen:
+            comp = _component_of(g, start)
+            seen |= comp
+            parts.append(frozenset(comp))
     return parts
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """One walk from any vertex: connected when it reaches all of them."""
+    start = next(iter(g._adj), None)
+    return start is None or len(_component_of(g, start)) == g.n
 
 
 def component_count(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> int:
@@ -257,57 +263,6 @@ def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
         frontier = reach & within & ~seen
         seen |= frontier
     return seen
-
-
-def bridges_and_cut_vertices(g: Graph) -> tuple[set[tuple[int, int]], set[int]]:
-    """Exact bridge and cut-vertex sets. Loops are never bridges and a
-    parallel pair is never a bridge."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    bridges: set[tuple[int, int]] = set()
-    cuts: set[int] = set()
-    clock = itertools.count()
-
-    for root in sorted(g.vertices):
-        if root in disc:
-            continue
-        parent[root] = None
-        disc[root] = low[root] = next(clock)
-        iters = {root: iter(sorted(w for w in g.neighbors(root) if w != root))}
-        stack = [root]
-        root_children = 0
-        while stack:
-            v = stack[-1]
-            advanced = False
-            for w in iters[v]:
-                if w not in disc:
-                    parent[w] = v
-                    disc[w] = low[w] = next(clock)
-                    iters[w] = iter(sorted(u for u in g.neighbors(w) if u != w))
-                    stack.append(w)
-                    if v == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if w == parent[v]:
-                    # extra parallel copies of the tree edge act as back edges
-                    if g.multiplicity(v, w) >= 2:
-                        low[v] = min(low[v], disc[w])
-                else:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                p = parent[v]
-                if p is not None:
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p] and g.multiplicity(p, v) == 1:
-                        bridges.add(edge_key(p, v))
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    return bridges, cuts
 
 
 # -- text format ---------------------------------------------------------------

@@ -62,6 +62,14 @@ class InvariantReport:
         return self.ok
 
 
+def _one_per_vertex_set(matches: list[PatternMatch]) -> list[PatternMatch]:
+    """The first match in role order for each vertex set, in role order."""
+    dedup: dict[frozenset[int], PatternMatch] = {}
+    for m in sorted(matches, key=lambda m: m.vertices):
+        dedup.setdefault(m.vertex_set(), m)
+    return sorted(dedup.values(), key=lambda m: m.vertices)
+
+
 # -- diamond blocks ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -206,10 +214,7 @@ def find_2necklaces(g: Graph, seeds: set[int] | None = None) -> list[PatternMatc
         matches.append(PatternMatch(KIND_2NECKLACE, verts, tuple(sorted((c1, c2))), k=len(chain)))
     if seeds is not None:
         matches = [m for m in matches if m.vertex_set() & seeds]
-    dedup: dict[frozenset[int], PatternMatch] = {}
-    for m in sorted(matches, key=lambda m: m.vertices):
-        dedup.setdefault(m.vertex_set(), m)
-    return sorted(dedup.values(), key=lambda m: m.vertices)
+    return _one_per_vertex_set(matches)
 
 
 # -- blossoms --------------------------------------------------------------------
@@ -267,11 +272,7 @@ def _blossom_matches(g: Graph, exact_terminal_degree: bool, seeds: set[int] | No
             )
             if seeds is None or match.vertex_set() & seeds:
                 out.append(match)
-    # one match per vertex set
-    dedup: dict[frozenset[int], PatternMatch] = {}
-    for m in sorted(out, key=lambda m: m.vertices):
-        dedup.setdefault(m.vertex_set(), m)
-    return sorted(dedup.values(), key=lambda m: m.vertices)
+    return _one_per_vertex_set(out)
 
 
 def find_2blossoms(g: Graph, seeds: set[int] | None = None) -> list[PatternMatch]:
@@ -290,10 +291,7 @@ def find_2terminal(g: Graph, kind: str) -> list[PatternMatch]:
             u, v = b.conns
             if g.degree(u) >= 3 and g.degree(v) >= 3:
                 out.append(PatternMatch(KIND_2T_DIAMOND, (u, b.inner[0], b.inner[1], v), (u, v), k=1))
-        dedup: dict[frozenset[int], PatternMatch] = {}
-        for m in sorted(out, key=lambda m: m.vertices):
-            dedup.setdefault(m.vertex_set(), m)
-        return sorted(dedup.values(), key=lambda m: m.vertices)
+        return _one_per_vertex_set(out)
     if kind in (KIND_2T_BLOSSOM, KIND_BLOSSOM):
         return _blossom_matches(g, exact_terminal_degree=False)
     raise ValueError(f"unknown 2-terminal kind {kind!r}")

@@ -155,25 +155,6 @@ def _join_components(g: Graph, f: SubgraphF) -> SubgraphF:
     return f
 
 
-def _absorb_isolated(g: Graph, f: SubgraphF) -> SubgraphF:
-    """Attach any still-missing vertices as leaves (cheapest host edge)."""
-    while not f.is_spanning():
-        missing = sorted(g.vertices - f.vertices)
-        attached = False
-        for v in missing:
-            anchors = sorted(w for w in g.neighbors(v) if w in f.vertices)
-            if anchors:
-                keyed = sorted(anchors, key=lambda w: (w in f.leaves, w))
-                f = f.with_additions({v}, [(keyed[0], v)])
-                attached = True
-                break
-        if not attached:
-            # no contact yet: seed a new component
-            v = missing[0]
-            f = expand(f, v)
-    return f
-
-
 def _greedy_from(g: Graph, start: int) -> SubgraphF:
     f = expand(SubgraphF.empty(g), start)
     while not f.is_spanning():
@@ -182,7 +163,9 @@ def _greedy_from(g: Graph, start: int) -> SubgraphF:
             f = nxt
             continue
         # best-scoring expansion anywhere; expansions outside the subgraph
-        # open a new component and pay for it in the score
+        # open a new component and pay for it in the score. The host is
+        # connected, so the boundary is not empty, and every candidate's
+        # expansion adds a vertex.
         best = None
         base = leaf_potential(g, f).twice_value
         boundary = set(f.boundary())
@@ -195,16 +178,11 @@ def _greedy_from(g: Graph, start: int) -> SubgraphF:
         candidates |= {v for v in outside if g.degree(v) >= 4}
         for w in sorted(candidates):
             cand = expand(f, w)
-            if cand.vertices == f.vertices and cand.edges == f.edges:
-                continue
             score = leaf_potential(g, cand).twice_value - base
             key = (-score, w)
             if best is None or key < best[0]:
                 best = (key, cand)
-        if best is not None:
-            f = best[1]
-            continue
-        f = _absorb_isolated(g, f)
+        f = best[1]
     return f
 
 

@@ -12,12 +12,11 @@ enforced by the admissibility check itself).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .graphs import (
     Graph,
     GraphError,
-    bridges_and_cut_vertices,
     component_count,
     connected_components,
     edge_key,
@@ -38,7 +37,6 @@ from .patterns import (
 LOW_RULES = ("L1", "L2", "L3", "L4", "L5", "L6", "L7")
 HIGH_RULES = ("R1", "R2", "R3", "R4", "R5")
 FPT_RULES = ("F1", "F2")
-ALL_RULES = LOW_RULES + HIGH_RULES + FPT_RULES
 
 
 class InadmissibleError(GraphError):
@@ -64,17 +62,6 @@ class RuleMatch:
     def key(self) -> tuple:
         return tuple(sorted(self.roles.items()))
 
-    def vertex_set(self) -> set[int]:
-        return set(self.roles.values())
-
-
-@dataclass(frozen=True)
-class RewritePlan:
-    removed_vertices: tuple[int, ...]
-    removed_edges: tuple[tuple[int, int], ...]  # one entry per copy
-    added_vertices: tuple[int, ...]
-    added_edges: tuple[tuple[int, int], ...]
-
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -83,11 +70,11 @@ class ReductionStep:
     rule_id: str
     roles: tuple[tuple[str, int], ...]
     removed_vertices: tuple[int, ...]
-    removed_edges: tuple[tuple[int, int], ...]
+    removed_edges: tuple[tuple[int, int], ...]  # one entry per copy
     added_vertices: tuple[int, ...]
     added_edges: tuple[tuple[int, int], ...]
-    delta_n3: int
-    component_delta: int
+    delta_n3: int = 0
+    component_delta: int = 0
     delta_k: int = 0
 
     def touched(self) -> set[int]:
@@ -158,10 +145,12 @@ class ReductionStep:
 # -- template matching -----------------------------------------------------------
 
 
-def _deg2_neighbors(g: Graph, v: int, excluding: set[int]) -> list[int]:
-    return sorted(
-        w for w in g.neighbors(v) if w not in excluding and w != v and g.degree(w) == 2
-    )
+def _canonical(matches: list[RuleMatch]) -> list[RuleMatch]:
+    """One match per role assignment, sorted by role key."""
+    uniq = {}
+    for m in matches:
+        uniq.setdefault(m.key(), m)
+    return [uniq[k] for k in sorted(uniq)]
 
 
 def _goober_far_end(g: Graph, gb: int, near: int) -> int | None:
@@ -176,62 +165,54 @@ def _match_bilateral(g: Graph, rule_id: str):
     """Shared enumerator for the four bilateral low-degree shapes. Sides are
     described by how many of the two side edges run through a degree-2
     connector: L1 = (1, 1) across an edge, L3 = (1, 1) across a central
-    degree-2 vertex, L4 = (2, 1), L5 = (2, 2)."""
+    degree-2 vertex, L4 = (2, 1), L5 = (2, 2). Each y is read off x: a
+    neighbour, or for L3 the far end of a degree-2 neighbour."""
     matches = []
     for x in sorted(g.vertices):
         if g.degree(x) != 3 or g.loops_at(x):
             continue
-        for y in sorted(g.vertices):
-            if y == x or g.degree(y) != 3 or g.loops_at(y):
+        if rule_id == "L3":
+            partners = [
+                (y, (m,))
+                for m in g.neighbors(x)
+                if g.degree(m) == 2 and g.multiplicity(x, m) == 1
+                for y in g.neighbors(m)
+                if y != x and g.multiplicity(m, y) == 1
+            ]
+        else:
+            partners = [(y, ()) for y in g.neighbors(x) if g.multiplicity(x, y) == 1]
+        for y, center in partners:
+            if g.degree(y) != 3 or g.loops_at(y):
                 continue
-            center: tuple[int, ...]
-            if rule_id == "L3":
-                mids = [
-                    m
-                    for m in g.neighbors(x)
-                    if m != y and g.degree(m) == 2 and g.has_edge(m, y)
-                    and g.multiplicity(x, m) == 1 and g.multiplicity(m, y) == 1
-                ]
-                if not mids:
-                    continue
-                centers = [(m,) for m in sorted(mids)]
-            else:
-                if not g.has_edge(x, y) or g.multiplicity(x, y) != 1:
-                    continue
-                centers = [()]
             if rule_id in ("L1", "L3", "L5") and y < x:
                 continue  # symmetric shapes; enumerate one orientation
-            for center in centers:
-                core_base = {x, y, *center}
-                xs_rest = sorted(w for w in g.neighbors(x) if w != y and w not in center)
-                ys_rest = sorted(w for w in g.neighbors(y) if w != x and w not in center)
-                if len(xs_rest) != 2 or len(ys_rest) != 2:
-                    continue
-                want_left = 2 if rule_id in ("L4", "L5") else 1
-                want_right = 2 if rule_id == "L5" else 1
-                for left in _side_options(g, x, xs_rest, want_left, core_base):
-                    for right in _side_options(g, y, ys_rest, want_right, core_base):
-                        side_goobers = left[0] + right[0]
-                        if len(set(side_goobers)) != len(side_goobers):
-                            continue
-                        core = core_base | set(side_goobers)
-                        anchors = left[1] + right[1]
-                        if any(a in core for a in anchors):
-                            continue
-                        roles = {"x": x, "y": y}
-                        if center:
-                            roles["gm"] = center[0]
-                        for i, gb in enumerate(left[0]):
-                            roles[f"gx{i + 1}"] = gb
-                        for i, gb in enumerate(right[0]):
-                            roles[f"gy{i + 1}"] = gb
-                        roles["a"], roles["b"] = left[1]
-                        roles["c"], roles["d"] = right[1]
-                        matches.append(RuleMatch(rule_id, roles))
-    uniq = {}
-    for m in matches:
-        uniq.setdefault(m.key(), m)
-    return [uniq[k] for k in sorted(uniq)]
+            core_base = {x, y, *center}
+            xs_rest = sorted(w for w in g.neighbors(x) if w != y and w not in center)
+            ys_rest = sorted(w for w in g.neighbors(y) if w != x and w not in center)
+            if len(xs_rest) != 2 or len(ys_rest) != 2:
+                continue
+            want_left = 2 if rule_id in ("L4", "L5") else 1
+            want_right = 2 if rule_id == "L5" else 1
+            for left in _side_options(g, x, xs_rest, want_left, core_base):
+                for right in _side_options(g, y, ys_rest, want_right, core_base):
+                    side_goobers = left[0] + right[0]
+                    if len(set(side_goobers)) != len(side_goobers):
+                        continue
+                    core = core_base | set(side_goobers)
+                    anchors = left[1] + right[1]
+                    if any(a in core for a in anchors):
+                        continue
+                    roles = {"x": x, "y": y}
+                    if center:
+                        roles["gm"] = center[0]
+                    for i, gb in enumerate(left[0]):
+                        roles[f"gx{i + 1}"] = gb
+                    for i, gb in enumerate(right[0]):
+                        roles[f"gy{i + 1}"] = gb
+                    roles["a"], roles["b"] = left[1]
+                    roles["c"], roles["d"] = right[1]
+                    matches.append(RuleMatch(rule_id, roles))
+    return _canonical(matches)
 
 
 def _side_options(g: Graph, near: int, rest: list[int], want_goobers: int, core: set[int]):
@@ -326,10 +307,7 @@ def _match_diamond_rule(g: Graph, rule_id: str):
                 matches.append(
                     RuleMatch("R2", {"u": u, "v": v, "i1": blk.inner[0], "i2": blk.inner[1]})
                 )
-    uniq = {}
-    for m in matches:
-        uniq.setdefault(m.key(), m)
-    return [uniq[k] for k in sorted(uniq)]
+    return _canonical(matches)
 
 
 def _match_r3(g: Graph):
@@ -347,7 +325,7 @@ def _match_r3(g: Graph):
             if g.degree(v) != 3 or g.degree(w) < 3:
                 continue
             matches.append(RuleMatch("R3", {"t": t, "u": u, "v": v, "w": w}))
-    return sorted(matches, key=lambda m: m.key())
+    return _canonical(matches)
 
 
 def _match_r4(g: Graph):
@@ -382,10 +360,7 @@ def _match_r4(g: Graph):
                 "aq1": anchors[2], "aq2": anchors[3],
             }
             matches.append(RuleMatch("R4", roles))
-    uniq = {}
-    for m in matches:
-        uniq.setdefault(m.key(), m)
-    return [uniq[k] for k in sorted(uniq)]
+    return _canonical(matches)
 
 
 def _match_r5(g: Graph):
@@ -442,83 +417,69 @@ def find_matches(g: Graph, rule_id: str) -> list[RuleMatch]:
     return _MATCHERS[rule_id](g)
 
 
-# -- rewrite plans ---------------------------------------------------------------
+# -- rewrites --------------------------------------------------------------------
 
 
-def _fresh_ids(g: Graph, count: int) -> list[int]:
+def _fresh_ids(g: Graph, count: int) -> tuple[int, ...]:
     base = max(g.vertices, default=0)
-    return [base + i for i in range(1, count + 1)]
+    return tuple(base + i for i in range(1, count + 1))
 
 
-def _removal_plan(g: Graph, removed: list[int], extra_removed_edges=(), added_vertices=(), added_edges=()) -> RewritePlan:
-    rset = set(removed)
-    redges = list(extra_removed_edges)
-    for u, v in set(g.edges()):
-        if u in rset or v in rset:
-            redges.extend([edge_key(u, v)] * g.multiplicity(u, v))
-    return RewritePlan(
-        tuple(sorted(rset)),
-        tuple(sorted(redges)),
-        tuple(added_vertices),
-        tuple(sorted(edge_key(u, v) for u, v in added_edges)),
-    )
-
-
-def build_plan(g: Graph, match: RuleMatch) -> RewritePlan:
+def build_plan(g: Graph, match: RuleMatch) -> ReductionStep:
+    """The rewrite of one match, as a step whose deltas are still zero."""
     r = match.roles
     rid = match.rule_id
+    removed: list[int] = []
+    cut: list[tuple[int, int]] = []  # removed edges not at a removed vertex
+    fresh: tuple[int, ...] = ()
+    added: list[tuple[int, int]] = []
     if rid in ("L1", "L3", "L4", "L5"):
         removed = [r["x"], r["y"]]
         removed += [v for k, v in r.items() if k.startswith(("gm", "gx", "gy"))]
-        gl, gr = _fresh_ids(g, 2)
-        added_edges = [(gl, r["a"]), (gl, r["b"]), (gr, r["c"]), (gr, r["d"])]
-        return _removal_plan(g, removed, added_vertices=(gl, gr), added_edges=added_edges)
-    if rid == "L2":
-        u, v = r["u"], r["v"]
-        return RewritePlan((), tuple([edge_key(u, v)] * g.multiplicity(u, v)), (), ())
-    if rid == "L6":
-        (new,) = _fresh_ids(g, 1)
-        return _removal_plan(
-            g, [r["g1"], r["g2"]], added_vertices=(new,), added_edges=[(new, r["u"]), (new, r["v"])]
-        )
-    if rid == "L7":
-        return _removal_plan(g, [r["gz"]])
-    if rid in ("R1", "R2", "F1"):
-        drop = max(r["i1"], r["i2"])
-        return _removal_plan(g, [drop])
-    if rid == "R3":
-        return _removal_plan(g, [r["t"]], added_edges=[(r["u"], r["w"])])
-    if rid == "R4":
-        return _removal_plan(g, [r["x"], r["p1"], r["p2"], r["q1"], r["q2"]])
-    if rid == "R5":
-        return RewritePlan((), (edge_key(r["u"], r["v"]),), (), ())
-    if rid == "F2":
+        fresh = gl, gr = _fresh_ids(g, 2)
+        added = [(gl, r["a"]), (gl, r["b"]), (gr, r["c"]), (gr, r["d"])]
+    elif rid == "L2":
+        cut = [edge_key(r["u"], r["v"])] * g.multiplicity(r["u"], r["v"])
+    elif rid == "L6":
+        removed = [r["g1"], r["g2"]]
+        fresh = _fresh_ids(g, 1)
+        added = [(fresh[0], r["u"]), (fresh[0], r["v"])]
+    elif rid == "L7":
+        removed = [r["gz"]]
+    elif rid in ("R1", "R2", "F1"):
+        removed = [max(r["i1"], r["i2"])]
+    elif rid == "R3":
+        removed = [r["t"]]
+        added = [(r["u"], r["w"])]
+    elif rid == "R4":
+        removed = [r["x"], r["p1"], r["p2"], r["q1"], r["q2"]]
+    elif rid == "R5":
+        cut = [edge_key(r["u"], r["v"])]
+    elif rid == "F2":
         # blossom -> the double-star gadget c1~{a4,a1}, c2~{a4,a3}: drop the
         # center and one triangle mate, cut a3-a4, reroute c2 to a4. Terminal
         # degrees are preserved. This replacement was screened exhaustively
         # against the exact oracle over host batteries; gadgets keeping any
         # triangle or a second inner edge change the optimum by 0 or 2 in
         # some hosts.
-        return _removal_plan(
-            g,
-            [r["b"], r["a2"]],
-            extra_removed_edges=[edge_key(r["a3"], r["a4"])],
-            added_edges=[(r["c2"], r["a4"])],
-        )
-    raise GraphError(f"unknown rule {rid!r}")
-
-
-def _plan_to_step(g_before: Graph, g_after: Graph, match: RuleMatch, plan: RewritePlan) -> ReductionStep:
+        removed = [r["b"], r["a2"]]
+        cut = [edge_key(r["a3"], r["a4"])]
+        added = [(r["c2"], r["a4"])]
+    else:
+        raise GraphError(f"unknown rule {rid!r}")
+    gone = set(removed)
+    for u in gone:
+        for w in g.neighbors(u):
+            if w not in gone or u <= w:  # an edge between two removed vertices once
+                cut += [edge_key(u, w)] * g.multiplicity(u, w)
     return ReductionStep(
-        rule_id=match.rule_id,
-        roles=tuple(sorted(match.roles.items())),
-        removed_vertices=plan.removed_vertices,
-        removed_edges=plan.removed_edges,
-        added_vertices=plan.added_vertices,
-        added_edges=plan.added_edges,
-        delta_n3=n_ge3(g_before) - n_ge3(g_after),
-        component_delta=len(connected_components(g_after)) - len(connected_components(g_before)),
-        delta_k=1 if match.rule_id in FPT_RULES else 0,
+        rule_id=rid,
+        roles=tuple(sorted(r.items())),
+        removed_vertices=tuple(sorted(gone)),
+        removed_edges=tuple(sorted(cut)),
+        added_vertices=fresh,
+        added_edges=tuple(sorted(edge_key(u, v) for u, v in added)),
+        delta_k=1 if rid in FPT_RULES else 0,
     )
 
 
@@ -547,58 +508,49 @@ def _shared_end_reason(g: Graph, match: RuleMatch) -> str | None:
     return None
 
 
-def _vet(g: Graph, match: RuleMatch) -> tuple[str | None, RewritePlan | None, Graph | None]:
+def _vet(g: Graph, match: RuleMatch) -> tuple[str | None, ReductionStep | None, Graph | None]:
     """The admissibility check behind admissible and apply_rule: the
     violated condition (None when the rule applies) and, once built, the
-    rewrite plan and the rewritten graph."""
+    step with its deltas and the rewritten graph."""
     if not _template_fits(g, match):
         raise InadmissibleError(match.rule_id, "match does not fit the rule template")
     rid = match.rule_id
     r = match.roles
-
-    if rid not in FPT_RULES:
-        reason = _shared_end_reason(g, match)
-        if reason:
-            return reason, None, None
-        if rid == "R5" and g.multiplicity(r["u"], r["v"]) == 1:
-            bridges, _ = bridges_and_cut_vertices(g)
-            if edge_key(r["u"], r["v"]) in bridges:
-                return "bridge", None, None
+    reason = _shared_end_reason(g, match)
+    if reason:
+        return reason, None, None
 
     plan = build_plan(g, match)
-    probe = ReductionStep(
-        rid, (), plan.removed_vertices, plan.removed_edges, plan.added_vertices,
-        plan.added_edges, 0, 0,
-    )
-    if rid in FPT_RULES:
-        return None, plan, probe.replay(g)
     try:
-        after = probe.replay(g)
+        after = plan.replay(g)
     except GraphError as exc:
         return f"rewrite not executable: {exc}", None, None
-
     cc_before = len(connected_components(g))
-    cc_after = len(connected_components(after))
-    if rid == "R3" and cc_after != cc_before:
+    comps = connected_components(after)
+    step = replace(plan, delta_n3=n_ge3(g) - n_ge3(after), component_delta=len(comps) - cc_before)
+    if rid in FPT_RULES:
+        return None, step, after
+    if rid == "R5" and len(comps) != cc_before:
+        return "bridge", None, None
+    if rid == "R3" and len(comps) != cc_before:
         return "connectivity", None, None
-    if rid == "R4" and cc_after <= cc_before:
+    if rid == "R4" and len(comps) <= cc_before:
         return "connectivity", None, None
     if rid == "R3" and g.has_edge(r["u"], r["w"]):
         return "edge uw already present", None, None
 
     # scanning only structures that meet the touched set is complete: a
     # forbidden structure avoiding every touched vertex existed before
-    created = introduces_forbidden(g, after, probe.touched())
+    created = introduces_forbidden(g, after, step.touched())
     if created is not None:
         return f"creates a new {created.kind}", None, None
     if check_invariant(g).ok:
-        comps = connected_components(after)
         for comp in comps:
             if len(comps) > 1 and not any(after.degree(v) <= 2 for v in comp):
                 return "would violate the invariant (component-without-goober)", None, None
             if not _simple_or_k2e(after, comp):
                 return "would violate the invariant (multi-edge)", None, None
-    return None, plan, after
+    return None, step, after
 
 
 def admissible(g: Graph, match: RuleMatch) -> tuple[bool, str]:
@@ -609,10 +561,29 @@ def admissible(g: Graph, match: RuleMatch) -> tuple[bool, str]:
 
 def apply_rule(g: Graph, match: RuleMatch) -> tuple[Graph, ReductionStep]:
     """Apply one rule; raises InadmissibleError with the reason otherwise."""
-    reason, plan, after = _vet(g, match)
+    reason, step, after = _vet(g, match)
     if reason is not None:
         raise InadmissibleError(match.rule_id, reason)
-    return after, _plan_to_step(g, after, match, plan)
+    return after, step
+
+
+def _reduce(g: Graph, rules: tuple[str, ...]) -> tuple[Graph, list[ReductionStep]]:
+    """Apply the first admissible match (rules in the given order, matches
+    smallest first) until none is left."""
+    cur = g.copy()
+    steps: list[ReductionStep] = []
+    budget = 4 * (g.n + g.m) + 16
+    while len(steps) <= budget:
+        for match in (m for rule_id in rules for m in find_matches(cur, rule_id)):
+            try:
+                cur, step = apply_rule(cur, match)
+            except InadmissibleError:
+                continue
+            steps.append(step)
+            break
+        else:
+            return cur, steps
+    raise GraphError("reduction did not terminate within its budget")
 
 
 def reduce_to_irreducible(g: Graph) -> tuple[Graph, list[ReductionStep]]:
@@ -621,40 +592,14 @@ def reduce_to_irreducible(g: Graph) -> tuple[Graph, list[ReductionStep]]:
     every intermediate graph then satisfies it as well."""
     if not check_invariant(g).ok:
         raise GraphError("reduce_to_irreducible requires an invariant-satisfying graph")
-    cur = g.copy()
-    steps: list[ReductionStep] = []
-    budget = 4 * (g.n + g.m) + 16
-    progressed = True
-    while progressed:
-        progressed = False
-        for rule_id in LOW_RULES + HIGH_RULES:
-            for match in find_matches(cur, rule_id):
-                try:
-                    cur, step = apply_rule(cur, match)
-                except InadmissibleError:
-                    continue
-                steps.append(step)
-                progressed = True
-                break
-            if progressed:
-                break
-        if len(steps) > budget:
-            raise GraphError("reduction did not terminate within its budget")
-    return cur, steps
+    return _reduce(g, LOW_RULES + HIGH_RULES)
 
 
 def fpt_preprocess(g: Graph, k: int) -> tuple[Graph, int, list[ReductionStep]]:
     """Remove every 2-terminal diamond and blossom, decrementing the target
     once per application."""
-    cur = g.copy()
-    steps: list[ReductionStep] = []
-    while True:
-        matches = find_matches(cur, "F1") or find_matches(cur, "F2")
-        if not matches:
-            break
-        cur, step = apply_rule(cur, matches[0])
-        steps.append(step)
-    return cur, k - len(steps), steps
+    reduced, steps = _reduce(g, FPT_RULES)
+    return reduced, k - len(steps), steps
 
 
 # -- tree reconstruction ------------------------------------------------------------

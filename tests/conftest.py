@@ -106,6 +106,73 @@ def naive_bridges_and_cuts(g: Graph) -> tuple[set[tuple[int, int]], set[int]]:
     return bridges, cuts
 
 
+# -- all-pairs bilateral rule enumeration ------------------------------------------
+
+
+def _far_end(g: Graph, gb: int, near: int):
+    rest = [w for w in g.neighbors(gb) if w != near]
+    if len(rest) != 1 or g.multiplicity(gb, rest[0]) != 1 or g.multiplicity(gb, near) != 1:
+        return None
+    return rest[0]
+
+
+def _sides(g: Graph, near: int, rest: list[int], want: int, core: set[int]):
+    p, q = rest
+    if want == 2:
+        if g.degree(p) != 2 or g.degree(q) != 2 or p in core or q in core:
+            return []
+        fp, fq = _far_end(g, p, near), _far_end(g, q, near)
+        if fp is None or fq is None:
+            return []
+        return [((p, q), (min(fp, fq), max(fp, fq)))]
+    out = []
+    for gb, direct in ((p, q), (q, p)):
+        if gb not in core and g.degree(gb) == 2 and _far_end(g, gb, near) is not None:
+            out.append(((gb,), (_far_end(g, gb, near), direct)))
+    return out
+
+
+def all_pairs_bilateral(g: Graph, rule_id: str) -> list[tuple]:
+    """Role keys of every L1/L3/L4/L5 match, sorted, found by trying every
+    ordered pair (x, y) of degree-3 loop-free vertices."""
+    keys = set()
+    cubic = [v for v in sorted(g.vertices) if g.degree(v) == 3 and not g.loops_at(v)]
+    for x, y in itertools.permutations(cubic, 2):
+        if rule_id in ("L1", "L3", "L5") and y < x:
+            continue
+        if rule_id == "L3":
+            centers = [
+                (m,) for m in sorted(g.neighbors(x))
+                if g.degree(m) == 2 and g.has_edge(m, y)
+                and g.multiplicity(x, m) == 1 and g.multiplicity(m, y) == 1
+            ]
+        else:
+            centers = [()] if g.multiplicity(x, y) == 1 else []
+        for center in centers:
+            core = {x, y, *center}
+            xs = sorted(w for w in g.neighbors(x) if w != y and w not in center)
+            ys = sorted(w for w in g.neighbors(y) if w != x and w not in center)
+            if len(xs) != 2 or len(ys) != 2:
+                continue
+            want_left = 2 if rule_id in ("L4", "L5") else 1
+            want_right = 2 if rule_id == "L5" else 1
+            for left in _sides(g, x, xs, want_left, core):
+                for right in _sides(g, y, ys, want_right, core):
+                    goobers = left[0] + right[0]
+                    if len(set(goobers)) != len(goobers):
+                        continue
+                    if any(a in core or a in goobers for a in left[1] + right[1]):
+                        continue
+                    roles = {"x": x, "y": y, "a": left[1][0], "b": left[1][1]}
+                    roles.update(c=right[1][0], d=right[1][1])
+                    if center:
+                        roles["gm"] = center[0]
+                    roles.update({f"gx{i + 1}": v for i, v in enumerate(left[0])})
+                    roles.update({f"gy{i + 1}": v for i, v in enumerate(right[0])})
+                    keys.add(tuple(sorted(roles.items())))
+    return sorted(keys)
+
+
 # -- spanning tree enumeration ---------------------------------------------------
 
 

@@ -199,3 +199,11 @@ def test_parse_error_exit_2(capsys, tmp_path):
     bad.write_text("p 2 1\ne 1 9\n")
     code, _, err = run(capsys, "solve", "-k", "2", str(bad))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("command", [("solve", "-k", "3"), ("maximize", "--exact")])
+def test_huge_declared_n_without_edges_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "huge.gr"
+    path.write_text("p 200000 0\n")
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2 and "connected" in err

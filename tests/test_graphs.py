@@ -11,10 +11,10 @@ from maxleaf.graphs import (
     ParseError,
     RangeError,
     SubgraphF,
-    bridges_and_cut_vertices,
     component_count,
     connected_components,
     edge_key,
+    is_connected,
     parse_graph,
     reach_mask,
     suppress,
@@ -23,7 +23,7 @@ from maxleaf.graphs import (
 )
 from maxleaf.generators import flowerbed, flower, g7, q3
 
-from conftest import naive_bridges_and_cuts, naive_components, random_multigraph
+from conftest import naive_components, random_multigraph
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -139,41 +139,21 @@ def test_components_g7():
     assert len(connected_components(g7())) == 1
 
 
-def test_bridges_path3():
-    g = Graph(edges=[(1, 2), (2, 3)])
-    bridges, cuts = bridges_and_cut_vertices(g)
-    assert bridges == {(1, 2), (2, 3)}
-    assert cuts == {2}
-
-
-def test_bridges_cycle():
-    g = Graph(edges=[(1, 2), (2, 3), (3, 4), (4, 1)])
-    bridges, cuts = bridges_and_cut_vertices(g)
-    assert not bridges and not cuts
-
-
-def test_flower_cut_vertices_with_pendant():
-    g = flower()
-    g.add_vertex(14)
-    g.add_edge(12, 14)  # pendant at g1
-    _, cuts = bridges_and_cut_vertices(g)
-    assert {10, 11} <= cuts  # h and s
-
-
-def test_bridges_against_naive_recompute():
-    rng = random.Random(1234)
-    for trial in range(200):
-        n = rng.randint(2, 30)
-        g = random_multigraph(n, rng.randint(1, min(40, 2 * n)), rng)
-        assert bridges_and_cut_vertices(g) == naive_bridges_and_cuts(g), trial
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_component_count_hypothesis(seed):
     rng = random.Random(seed)
     g = random_multigraph(rng.randint(1, 12), rng.randint(0, 18), rng)
     assert component_count(g.vertices, g.edges()) == len(naive_components(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_is_connected_against_components(seed):
+    rng = random.Random(seed)
+    g = random_multigraph(rng.randint(1, 12), rng.randint(0, 18), rng)
+    assert is_connected(g) == (len(naive_components(g)) == 1)
+    assert is_connected(Graph())
 
 
 def test_reach_mask_against_components(rng):
@@ -293,11 +273,3 @@ def test_subgraph_cached_fields_match_recompute(rng):
                         seen.add(other)
                         stack.append(other)
         assert f.cc == parts
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_bridge_oracle_hypothesis(seed):
-    rng = random.Random(seed)
-    g = random_multigraph(rng.randint(2, 12), rng.randint(1, 18), rng)
-    assert bridges_and_cut_vertices(g) == naive_bridges_and_cuts(g)

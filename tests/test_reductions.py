@@ -28,7 +28,7 @@ from maxleaf.reductions import (
 )
 from maxleaf.solver import exact_max_leaves
 
-from conftest import random_connected
+from conftest import all_pairs_bilateral, naive_bridges_and_cuts, random_connected, random_multigraph
 
 
 def first_admissible(g, rule_id):
@@ -53,6 +53,10 @@ def test_r5_refuses_bridges():
     match = next(m for m in find_matches(g, "R5") if set(m.roles.values()) == {1, 11})
     ok, reason = admissible(g, match)
     assert not ok and reason == "bridge"
+    # a doubled join is no bridge: deleting one copy keeps the blocks together
+    g.add_edge(1, 11)
+    match = next(m for m in find_matches(g, "R5") if set(m.roles.values()) == {1, 11})
+    assert admissible(g, match) == (True, "ok")
 
 
 def test_r5_refuses_g7_blossom_creation():
@@ -100,6 +104,91 @@ def test_template_mismatch_is_an_error():
 
     with pytest.raises(InadmissibleError):
         admissible(g, RuleMatch("R5", {"u": 1, "v": 2}))
+
+
+# -- bilateral matcher ---------------------------------------------------------------
+
+
+def subdivided_random(n: int, extra: int, rng) -> Graph:
+    """A random connected simple graph with about 40% of its edges
+    subdivided by a degree-2 vertex."""
+    base = random_connected(n, extra, rng)
+    g = Graph(vertices=base.vertices)
+    nxt = max(base.vertices) + 1
+    for u, v in sorted(set(base.edges())):
+        if rng.random() < 0.4:
+            g.add_edge(u, nxt)
+            g.add_edge(nxt, v)
+            nxt += 1
+        else:
+            g.add_edge(u, v)
+    return g
+
+
+def test_bilateral_matches_equal_the_all_pairs_reference():
+    rng = random.Random(5)
+    found = {(rule, kind): 0 for rule in ("L1", "L3", "L4", "L5") for kind in ("simple", "multi")}
+    for trial in range(600):
+        n = rng.randint(2, 12)
+        if trial % 2:
+            kind, g = "multi", random_multigraph(n, rng.randint(0, 2 * n), rng)
+            for v in sorted(g.vertices):
+                while g.loops_at(v):
+                    g.remove_edge(v, v)
+        else:
+            kind, g = "simple", subdivided_random(n, rng.randint(0, n), rng)
+        for rule in ("L1", "L3", "L4", "L5"):
+            keys = [m.key() for m in find_matches(g, rule)]
+            assert keys == all_pairs_bilateral(g, rule), (rule, trial)
+            found[rule, kind] += len(keys)
+    assert all(found[rule, "simple"] >= 10 for rule in ("L1", "L3", "L4", "L5")), found
+    assert found["L1", "multi"] and found["L3", "multi"] and found["L4", "multi"], found
+
+
+def lift_meets_pipeline_bound(g, step, g2) -> bool:
+    from fractions import Fraction
+
+    lifted = reconstruct_tree(g, step, exact_forest(g2))
+    k_nt = sum(1 for c in connected_components(g2) if len(c) >= 2)
+    alpha = Fraction(2) if step.component_delta > 0 else Fraction(4, 3)
+    bound = Fraction(n_ge3(g), 3) + alpha * k_nt - 2 * (k_nt - 1)
+    return Fraction(forest_leaf_count(lifted)) >= bound
+
+
+def test_l3_hand_built():
+    # x=1 and y=2 joined through gm=3; each keeps one side edge through a
+    # degree-2 connector (4, 5) and one direct edge, into a 4-cycle of anchors
+    g = Graph(edges=[
+        (1, 3), (3, 2), (1, 4), (4, 10), (1, 11), (2, 5), (5, 12), (2, 13),
+        (10, 11), (11, 12), (12, 13), (13, 10),
+    ])
+    (m,) = find_matches(g, "L3")
+    assert m.roles == {"x": 1, "y": 2, "gm": 3, "gx1": 4, "gy1": 5, "a": 10, "b": 11, "c": 12, "d": 13}
+    g2, step = apply_rule(g, m)
+    assert step.removed_vertices == (1, 2, 3, 4, 5)
+    assert step.added_vertices == (14, 15)
+    assert step.added_edges == ((10, 14), (11, 14), (12, 15), (13, 15))
+    assert step.undo(g2) == g
+    assert lift_meets_pipeline_bound(g, step, g2)
+    _, steps = reduce_to_irreducible(g)
+    assert steps[0].rule_id == "L3"
+
+
+def test_l5_hand_built():
+    # x=1 ~ y=2, all four side edges through degree-2 connectors
+    g = Graph(edges=[
+        (1, 2), (1, 3), (3, 10), (1, 4), (4, 11), (2, 5), (5, 12), (2, 6), (6, 13),
+        (10, 11), (11, 12), (12, 13), (13, 10), (10, 12),
+    ])
+    (m,) = find_matches(g, "L5")
+    assert m.roles == {
+        "x": 1, "y": 2, "gx1": 3, "gx2": 4, "gy1": 5, "gy2": 6, "a": 10, "b": 11, "c": 12, "d": 13,
+    }
+    g2, step = apply_rule(g, m)
+    assert step.removed_vertices == (1, 2, 3, 4, 5, 6)
+    assert step.added_edges == ((10, 14), (11, 14), (12, 15), (13, 15))
+    assert step.undo(g2) == g
+    assert lift_meets_pipeline_bound(g, step, g2)
 
 
 # -- applications --------------------------------------------------------------------
@@ -280,12 +369,11 @@ def widget_with_cube():
 
 
 def test_edge_deletion_property_on_irreducibles(rng):
-    from maxleaf.graphs import bridges_and_cut_vertices
     from maxleaf.patterns import find_cubic_diamonds
 
     def check_graph(reduced) -> int:
         tested = 0
-        bridges, _ = bridges_and_cut_vertices(reduced)
+        bridges, _ = naive_bridges_and_cuts(reduced)
         for u in sorted(reduced.vertices):
             if reduced.degree(u) != 4:
                 continue

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf import potential, solver
-from maxleaf.graphs import Graph, GraphError, graph_leaves, suppress, vertices_ge3
+from maxleaf import graphs, potential, solver
+from maxleaf.graphs import Graph, GraphError, graph_leaves, parse_graph, suppress, vertices_ge3
 from maxleaf.generators import flowerbed, g7, necklace, necklace_ring, q3
 from maxleaf.solver import (
     CapacityError,
@@ -63,6 +63,17 @@ def test_exact_capacity_cap():
 def test_exact_requires_connected():
     with pytest.raises(GraphError):
         exact_max_leaves(Graph(edges=[(1, 2), (3, 4)]))
+
+
+def test_huge_declared_n_fails_after_one_walk(monkeypatch):
+    # the connectivity test walks one component; it lists no others
+    def refuse(g):
+        raise AssertionError("connectivity test listed every component")
+
+    monkeypatch.setattr(graphs, "connected_components", refuse)
+    g = parse_graph("p 200000 0\n")
+    with pytest.raises(GraphError, match="connected"):
+        fpt_decide(g, 3)
 
 
 def test_exact_matches_brute_force(rng):
