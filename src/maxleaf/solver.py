@@ -2,12 +2,12 @@
 
 The oracle works through the complement: for n >= 3 the internal vertices of
 a spanning tree form a connected dominating set, so the maximum leaf count is
-n minus the smallest one. The decision procedure preprocesses with the
-two-terminal rules, applies the counting shortcuts, and then searches the
-forced-leaf sets over the suppressed graph level by level, visiting a set
-only when all its one-smaller subsets are feasible. Each visited set is
-decided in polynomial time via a minimum-cost spanning tree, evaluated on
-the suppressed graph's bitmask index.
+n minus the smallest one, sought depth-first among connected vertex sets
+only. The decision procedure preprocesses with the two-terminal rules, applies
+the counting shortcuts, and then searches the forced-leaf sets over the
+suppressed graph level by level, visiting a set only when all its one-smaller
+subsets are feasible. Each visited set is decided in polynomial time via a
+minimum-cost spanning tree, evaluated on the suppressed graph's bitmask index.
 """
 
 from __future__ import annotations
@@ -79,8 +79,10 @@ class Verdict:
 def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]]]:
     """True maximum leaf count over all spanning trees, with a witness tree.
 
-    Enumerates candidate internal sets in increasing size with a degree-based
-    lower bound; intended for desk-scale instances (default cap 30 vertices).
+    n minus the size of a smallest connected dominating set, the
+    lexicographically first one, found by enumerating connected vertex sets
+    depth-first, by size upward from a degree lower bound and by smallest
+    member; intended for desk-scale instances (default cap 30 vertices).
     """
     if not is_connected(g):
         raise GraphError("exact solver requires a connected graph")
@@ -99,24 +101,32 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
         if u != w:
             adj[idx[u]] |= 1 << idx[w]
             adj[idx[w]] |= 1 << idx[u]
-    closed = {v: adj[idx[v]] | (1 << idx[v]) for v in order}
     full = (1 << len(order)) - 1
-
-    max_deg = max(g.degree(v) for v in order)
-    lower = 1 if max_deg >= g.n - 1 else max(1, -(-(g.n - 2) // (max_deg - 1)) if max_deg > 1 else g.n - 2)
-    for size in range(lower, g.n - 1):
-        for combo in itertools.combinations(order, size):
-            mask = 0
-            dom = 0
-            for v in combo:
-                mask |= 1 << idx[v]
-                dom |= closed[v]
-            if dom != full or reach_mask(adj, mask & -mask, mask) != mask:
-                continue
-            return g.n - size, _tree_from_internal_set(g, set(combo))
-    # fall back: a path (two leaves) always exists; only reached when every
-    # smaller internal set fails, i.e. the best tree is a spanning path
-    return 2, _tree_from_internal_set(g, g.vertices)
+    # a vertex joining a connected set is dominated and has a neighbour in
+    # it, so it newly dominates at most `spread` vertices; sizes stop by n - 2,
+    # as a spanning tree's internal vertices are a connected dominating set
+    spread = max(a.bit_count() for a in adj) - 1
+    for size in itertools.count(max(1, -(-(g.n - 2) // spread))):
+        for root in range(g.n):  # smallest member: its hits precede larger roots'
+            below, best = (1 << root) - 1, 0
+            # (set, dominated, undecided neighbours above root, members left), <= n deep
+            stack = [(1 << root, adj[root] | 1 << root, adj[root] & ~below, size - 1)]
+            while stack:
+                members, dom, ext, left = stack.pop()
+                while ext and left:  # add the lowest undecided neighbour; stack the set without it
+                    bit = ext & -ext
+                    ext ^= bit
+                    stack.append((members, dom, ext, left))
+                    near = adj[bit.bit_length() - 1]
+                    members, dom, ext, left = members | bit, dom | near, ext | near & ~(dom | below), left - 1
+                    if (full & ~dom).bit_count() > left * spread:
+                        break
+                else:
+                    diff = members ^ best
+                    if not left and dom == full and (not best or members & diff & -diff):
+                        best = members  # lexicographically first so far
+            if best:
+                return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
 
 
 def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int]]:

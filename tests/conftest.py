@@ -173,6 +173,54 @@ def all_pairs_bilateral(g: Graph, rule_id: str) -> list[tuple]:
     return sorted(keys)
 
 
+# -- connected-dominating-set oracle by vertex combinations ------------------------
+
+
+def combination_cds_oracle(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]]]:
+    """The exact oracle as a plain combinations search: every vertex
+    combination by size upward from a degree lower bound, in lexicographic
+    order, until the first connected dominating set. Same value and tree as
+    ``exact_max_leaves``, at the cost of every combination below the hit."""
+    from maxleaf.graphs import GraphError, is_connected, reach_mask
+    from maxleaf.solver import CapacityError, _tree_from_internal_set
+
+    if not is_connected(g):
+        raise GraphError("exact solver requires a connected graph")
+    if g.n < 2:
+        raise GraphError("need at least two vertices")
+    if g.n > cap:
+        raise CapacityError(f"instance has {g.n} > {cap} vertices")
+    if g.n == 2:
+        u, v = sorted(g.vertices)
+        return 2, [(u, v)]
+
+    order = sorted(g.vertices)
+    idx = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)  # neighbour mask per position
+    for u, w in set(g.edges()):
+        if u != w:
+            adj[idx[u]] |= 1 << idx[w]
+            adj[idx[w]] |= 1 << idx[u]
+    closed = {v: adj[idx[v]] | (1 << idx[v]) for v in order}
+    full = (1 << len(order)) - 1
+
+    max_deg = max(g.degree(v) for v in order)
+    lower = 1 if max_deg >= g.n - 1 else max(1, -(-(g.n - 2) // (max_deg - 1)) if max_deg > 1 else g.n - 2)
+    for size in range(lower, g.n - 1):
+        for combo in itertools.combinations(order, size):
+            mask = 0
+            dom = 0
+            for v in combo:
+                mask |= 1 << idx[v]
+                dom |= closed[v]
+            if dom != full or reach_mask(adj, mask & -mask, mask) != mask:
+                continue
+            return g.n - size, _tree_from_internal_set(g, set(combo))
+    # fall back: a path (two leaves) always exists; only reached when every
+    # smaller internal set fails, i.e. the best tree is a spanning path
+    return 2, _tree_from_internal_set(g, g.vertices)
+
+
 # -- spanning tree enumeration ---------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from maxleaf import graphs, potential, solver
 from maxleaf.graphs import Graph, GraphError, graph_leaves, parse_graph, suppress, vertices_ge3
-from maxleaf.generators import flowerbed, g7, necklace, necklace_ring, q3
+from maxleaf.generators import flower, flowerbed, g7, necklace, necklace_ring, q3
 from maxleaf.solver import (
     CapacityError,
     ForcedLeafQuery,
@@ -23,8 +24,10 @@ from maxleaf.solver import (
 
 from conftest import (
     brute_max_leaves,
+    combination_cds_oracle,
     exhaustive_forced_search,
     random_connected,
+    random_multigraph,
     spanning_trees,
     tree_leaves,
 )
@@ -83,6 +86,58 @@ def test_exact_matches_brute_force(rng):
         assert mine == brute_max_leaves(g)
         assert verify_spanning_tree(g, tree)
         assert tree_leaf_count(tree) == mine
+
+
+def _oracle_differential_graphs():
+    rng = random.Random(0xD1FF)
+    out = []
+    for n in range(2, 13):
+        most = n * (n - 1) // 2 - (n - 1)
+        for share in (0, 0.1, 0.25, 0.5, 0.75, 1):
+            out += [random_connected(n, round(share * most), rng) for _ in range(2)]
+    while len(out) < 250:  # loop-free multigraphs
+        n = rng.randint(3, 10)
+        g = random_multigraph(n, rng.randint(n, 3 * n), rng)
+        g = Graph(g.vertices, [e for e in g.edges() if e[0] != e[1]])
+        if graphs.is_connected(g):
+            out.append(g)
+    for n in range(2, 13):
+        out.append(Graph(edges=itertools.combinations(range(1, n + 1), 2)))  # K_n
+        out.append(Graph(edges=[(1, v) for v in range(2, n + 1)]))  # star
+        out.append(Graph(edges=[(v, v + 1) for v in range(1, n)]))  # path
+        if n >= 3:
+            out.append(Graph(edges=[(v, v % n + 1) for v in range(1, n + 1)]))  # cycle
+        if n >= 4:  # wheel: hub 1 on the cycle 2..n
+            out.append(Graph(edges=[(1, v) for v in range(2, n + 1)] + [(v, v + 1) for v in range(2, n)] + [(n, 2)]))
+    out += [g7(), q3(), flower(), necklace(4), necklace(5)] + [necklace_ring(k) for k in (2, 3, 4)]
+    return out
+
+
+def test_exact_matches_combination_search():
+    cases = _oracle_differential_graphs()
+    assert len(cases) >= 300
+    for g in cases:
+        assert exact_max_leaves(g) == combination_cds_oracle(g), sorted(g.edges())
+
+
+def test_exact_search_memory_stays_small():
+    # every clique vertex carries a pendant, so the whole clique is the only
+    # connected dominating set and every smaller size is searched out
+    g = Graph(edges=list(itertools.combinations(range(1, 11), 2)) + [(v, v + 10) for v in range(1, 11)])
+    tracemalloc.start()
+    try:
+        best, tree = exact_max_leaves(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert best == 10 and verify_spanning_tree(g, tree)
+    assert peak < 500_000
+
+
+def test_exact_long_path_above_default_cap():
+    g = Graph(edges=[(v, v + 1) for v in range(1, 1500)])
+    best, tree = exact_max_leaves(g, cap=2000)
+    assert best == 2 and verify_spanning_tree(g, tree)
 
 
 def test_verify_spanning_tree_rejects_non_trees():
