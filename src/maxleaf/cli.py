@@ -40,11 +40,32 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+class InputError(Exception):
+    """A file could not be read or written, or does not hold what it should."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _read_graph(path: str) -> Graph:
-    if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def _emit_tree(edges) -> str:
@@ -109,11 +130,14 @@ def cmd_maximize(args) -> int:
 def cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            steps = [ReductionStep.from_json_dict(json.loads(line)) for line in fh if line.strip()]
         cur = g
-        for step in steps:
-            cur = step.replay(cur)
+        for number, line in enumerate(_read_text(args.replay).splitlines(), 1):
+            if line.strip():
+                try:
+                    step = ReductionStep.from_json_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise InputError(f"{args.replay} line {number}: not a step ({exc!r})") from exc
+                cur = step.replay(cur)
         sys.stdout.write(write_graph(cur, comment="replayed"))
         return EXIT_OK
     if args.fpt:
@@ -122,14 +146,11 @@ def cmd_reduce(args) -> int:
         reduced, steps = reduce_to_irreducible(g)
         k_left = None
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for step in steps:
-                fh.write(json.dumps(step.to_json_dict()) + "\n")
+        _write_text(args.trace, "".join(json.dumps(step.to_json_dict()) + "\n" for step in steps))
     comment = f"{len(steps)} reductions applied" + (f", k now {k_left}" if k_left is not None else "")
     out = write_graph(reduced, comment=comment)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write_text(args.output, out)
     else:
         sys.stdout.write(out)
     return EXIT_OK
@@ -197,8 +218,7 @@ def cmd_generate(args) -> int:
     if args.dot:
         text = to_dot(g)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -324,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, GeneratorError, CapacityError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (ParseError, GeneratorError, CapacityError, GraphError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 from .graphs import Graph, connected_components, is_goober
 
-KIND_DIAMOND = "diamond"
 KIND_CUBIC_DIAMOND = "cubic-diamond"
-KIND_NECKLACE = "necklace"
 KIND_2NECKLACE = "2-necklace"
-KIND_BLOSSOM = "blossom"
 KIND_2BLOSSOM = "2-blossom"
 KIND_2T_DIAMOND = "2-terminal-diamond"
 KIND_2T_BLOSSOM = "2-terminal-blossom"
@@ -80,16 +77,10 @@ class _Block:
     inner: tuple[int, int]
     conns: tuple[int, int]
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.inner) | frozenset(self.conns)
 
-
-def _diamond_blocks(g: Graph, seeds: set[int] | None = None) -> list[_Block]:
-    """All diamonds whose inner vertices have host degree exactly 3. When
-    ``seeds`` is given, only blocks touching it are returned (the callers use
-    this to scan locally around a rewrite)."""
+def _diamond_blocks(g: Graph) -> list[_Block]:
+    """All diamonds whose inner vertices have host degree exactly 3."""
     blocks = []
-    seen = set()
     for i1 in sorted(g.vertices):
         if g.degree(i1) != 3:
             continue
@@ -105,12 +96,7 @@ def _diamond_blocks(g: Graph, seeds: set[int] | None = None) -> list[_Block]:
                 continue
             if g.multiplicity(i2, u) != 1 or g.multiplicity(i2, v) != 1:
                 continue
-            block = _Block((i1, i2), (u, v))
-            if block.inner in seen:
-                continue
-            seen.add(block.inner)
-            if seeds is None or block.vertex_set() & seeds:
-                blocks.append(block)
+            blocks.append(_Block((i1, i2), (u, v)))
     return blocks
 
 
@@ -202,7 +188,7 @@ def find_2necklaces(g: Graph, seeds: set[int] | None = None) -> list[PatternMatc
     connectors, both of host degree 3. The edge c1-c2 may exist (the closed
     form); every other extra adjacency is excluded by the exact-degree
     conditions on the non-terminal vertices."""
-    blocks = _diamond_blocks(g, seeds=None)
+    blocks = _diamond_blocks(g)
     matches = []
     for chain in _chain_blocks(g, blocks):
         role = _chain_role_order(g, chain)
@@ -219,59 +205,54 @@ def find_2necklaces(g: Graph, seeds: set[int] | None = None) -> list[PatternMatc
 
 # -- blossoms --------------------------------------------------------------------
 
-def _blossom_matches(g: Graph, exact_terminal_degree: bool, seeds: set[int] | None = None) -> list[PatternMatch]:
-    """Blossom subgraphs whose only terminals are the two connector vertices.
-    ``exact_terminal_degree`` asks for host degree exactly 3 at the
-    connectors; otherwise any degree above 2 qualifies."""
-    out = []
+def _bowties(g: Graph):
+    """Each split of a loop-free degree-4 vertex's four simple degree-3
+    neighbours into two pairs, each pair a triangle with it, whose four
+    vertices all have exactly one neighbour outside their triangle: yields
+    (center, pair1, pair2, those four neighbours in pair order)."""
     for b in sorted(g.vertices):
         if g.degree(b) != 4 or g.loops_at(b):
             continue
         nbrs = sorted(g.neighbors(b))
-        if len(nbrs) != 4 or any(g.degree(a) != 3 for a in nbrs):
-            continue
-        if any(g.multiplicity(b, a) != 1 for a in nbrs):
+        if len(nbrs) != 4 or any(g.degree(a) != 3 or g.multiplicity(b, a) != 1 for a in nbrs):
             continue
         p, q, r, s = nbrs
         for pair1, pair2 in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
             if not (g.has_edge(*pair1) and g.has_edge(*pair2)):
                 continue
+            (a1, a2), (a3, a4) = pair1, pair2
+            ends = [g.neighbors(a) - {b, m} for a, m in ((a1, a2), (a2, a1), (a3, a4), (a4, a3))]
+            if all(len(rest) == 1 for rest in ends):
+                yield b, pair1, pair2, tuple(next(iter(rest)) for rest in ends)
 
-            def third(a: int, partner: int) -> int | None:
-                rest = g.neighbors(a) - {b, partner}
-                return next(iter(rest)) if len(rest) == 1 else None
 
-            a1, a2 = pair1
-            x, y = pair2
-            t1, t2 = third(a1, a2), third(a2, a1)
-            tx, ty = third(x, y), third(y, x)
-            if None in (t1, t2, tx, ty):
-                continue
-            # c1 joins a1 with one vertex of the second triangle
-            if t1 == tx and t2 == ty:
-                a3, a4 = y, x
-            elif t1 == ty and t2 == tx:
-                a3, a4 = x, y
-            else:
-                continue
-            c1, c2 = t1, t2
-            body = {b, a1, a2, a3, a4}
-            if c1 == c2 or c1 in body or c2 in body:
-                continue
-            dc1, dc2 = g.degree(c1), g.degree(c2)
-            if exact_terminal_degree:
-                if dc1 != 3 or dc2 != 3:
-                    continue
-            else:
-                if dc1 < 3 or dc2 < 3:
-                    continue
-            match = PatternMatch(
-                KIND_2BLOSSOM if exact_terminal_degree else KIND_2T_BLOSSOM,
-                (b, a1, a2, a3, a4, c1, c2),
-                tuple(sorted((c1, c2))),
-            )
-            if seeds is None or match.vertex_set() & seeds:
-                out.append(match)
+def _blossom_matches(g: Graph, exact_terminal_degree: bool, seeds: set[int] | None = None) -> list[PatternMatch]:
+    """Blossom subgraphs whose only terminals are the two connector vertices.
+    ``exact_terminal_degree`` asks for host degree exactly 3 at the
+    connectors; otherwise any degree above 2 qualifies."""
+    out = []
+    for b, (a1, a2), (x, y), (t1, t2, tx, ty) in _bowties(g):
+        # c1 joins a1 with one vertex of the second triangle
+        if t1 == tx and t2 == ty:
+            a3, a4 = y, x
+        elif t1 == ty and t2 == tx:
+            a3, a4 = x, y
+        else:
+            continue
+        c1, c2 = t1, t2
+        body = {b, a1, a2, a3, a4}
+        if c1 == c2 or c1 in body or c2 in body:
+            continue
+        degrees = (g.degree(c1), g.degree(c2))
+        if min(degrees) < 3 or (exact_terminal_degree and max(degrees) != 3):
+            continue
+        match = PatternMatch(
+            KIND_2BLOSSOM if exact_terminal_degree else KIND_2T_BLOSSOM,
+            (b, a1, a2, a3, a4, c1, c2),
+            tuple(sorted((c1, c2))),
+        )
+        if seeds is None or match.vertex_set() & seeds:
+            out.append(match)
     return _one_per_vertex_set(out)
 
 
@@ -285,14 +266,14 @@ def find_2terminal(g: Graph, kind: str) -> list[PatternMatch]:
     """Diamond or blossom subgraphs whose only terminals are the two vertices
     of structure degree 2, of arbitrary host degree (at least 3, so they
     really are terminals)."""
-    if kind in (KIND_2T_DIAMOND, KIND_DIAMOND):
+    if kind == KIND_2T_DIAMOND:
         out = []
         for b in _diamond_blocks(g):
             u, v = b.conns
             if g.degree(u) >= 3 and g.degree(v) >= 3:
                 out.append(PatternMatch(KIND_2T_DIAMOND, (u, b.inner[0], b.inner[1], v), (u, v), k=1))
         return _one_per_vertex_set(out)
-    if kind in (KIND_2T_BLOSSOM, KIND_BLOSSOM):
+    if kind == KIND_2T_BLOSSOM:
         return _blossom_matches(g, exact_terminal_degree=False)
     raise ValueError(f"unknown 2-terminal kind {kind!r}")
 

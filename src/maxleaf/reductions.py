@@ -5,8 +5,11 @@ decision-equivalent rules used by the FPT preprocessing.
 Rewrite actions follow the stated applicability restrictions; every applied
 step records exactly what changed, replays forward, and undoes backward, so
 traces are reproducible. No rule may introduce a new 2-necklace or 2-blossom,
-and on invariant-satisfying inputs every rule preserves the invariant (this is
-enforced by the admissibility check itself).
+and on invariant-satisfying inputs every rule preserves the invariant. Rule
+checks run once: ``admissible`` and ``apply_rule`` rematch a caller's match
+and test the graph's invariant, the reduction loop trusts its own fresh
+matches on invariant graphs, and lifting reads the step record (its removed
+edges and touched vertices) instead of rescanning the graph.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from .graphs import (
     connected_components,
     edge_key,
     is_goober,
-    n_ge3,
     tree_leaf_count,
 )
 from .patterns import (
+    KIND_2BLOSSOM,
+    KIND_2NECKLACE,
     KIND_2T_BLOSSOM,
     KIND_2T_DIAMOND,
-    _component_simple_or_k2e as _simple_or_k2e,
+    _bowties,
     _diamond_blocks,
     check_invariant,
     find_2terminal,
@@ -330,36 +334,17 @@ def _match_r3(g: Graph):
 
 def _match_r4(g: Graph):
     matches = []
-    for x in sorted(g.vertices):
-        if g.degree(x) != 4 or g.loops_at(x):
+    for x, pair1, pair2, anchors in _bowties(g):
+        if any(a in (x, *pair1, *pair2) for a in anchors):
             continue
-        nbrs = sorted(g.neighbors(x))
-        if len(nbrs) != 4 or any(g.degree(a) != 3 or g.multiplicity(x, a) != 1 for a in nbrs):
-            continue
-        p, q, r, s = nbrs
-        for pair1, pair2 in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
-            if not (g.has_edge(*pair1) and g.has_edge(*pair2)):
-                continue
-            body = {x, *pair1, *pair2}
-            anchors = []
-            ok = True
-            for a in (*pair1, *pair2):
-                partner = pair1[1 - pair1.index(a)] if a in pair1 else pair2[1 - pair2.index(a)]
-                rest = g.neighbors(a) - {x, partner}
-                if len(rest) != 1 or next(iter(rest)) in body:
-                    ok = False
-                    break
-                anchors.append(next(iter(rest)))
-            if not ok:
-                continue
-            roles = {
-                "x": x,
-                "p1": pair1[0], "p2": pair1[1],
-                "q1": pair2[0], "q2": pair2[1],
-                "ap1": anchors[0], "ap2": anchors[1],
-                "aq1": anchors[2], "aq2": anchors[3],
-            }
-            matches.append(RuleMatch("R4", roles))
+        roles = {
+            "x": x,
+            "p1": pair1[0], "p2": pair1[1],
+            "q1": pair2[0], "q2": pair2[1],
+            "ap1": anchors[0], "ap2": anchors[1],
+            "aq1": anchors[2], "aq2": anchors[3],
+        }
+        matches.append(RuleMatch("R4", roles))
     return _canonical(matches)
 
 
@@ -508,12 +493,12 @@ def _shared_end_reason(g: Graph, match: RuleMatch) -> str | None:
     return None
 
 
-def _vet(g: Graph, match: RuleMatch) -> tuple[str | None, ReductionStep | None, Graph | None]:
-    """The admissibility check behind admissible and apply_rule: the
+def _vet(
+    g: Graph, match: RuleMatch, invariant_ok: bool
+) -> tuple[str | None, ReductionStep | None, Graph | None]:
+    """The admissibility check of a match that fits its template on g: the
     violated condition (None when the rule applies) and, once built, the
     step with its deltas and the rewritten graph."""
-    if not _template_fits(g, match):
-        raise InadmissibleError(match.rule_id, "match does not fit the rule template")
     rid = match.rule_id
     r = match.roles
     reason = _shared_end_reason(g, match)
@@ -526,42 +511,53 @@ def _vet(g: Graph, match: RuleMatch) -> tuple[str | None, ReductionStep | None, 
     except GraphError as exc:
         return f"rewrite not executable: {exc}", None, None
     cc_before = len(connected_components(g))
-    comps = connected_components(after)
-    step = replace(plan, delta_n3=n_ge3(g) - n_ge3(after), component_delta=len(comps) - cc_before)
+    cc_after = len(connected_components(after))
+    touched = plan.touched()  # every other vertex keeps its degree
+    n3 = [sum(1 for v in touched if h.has_vertex(v) and h.degree(v) >= 3) for h in (g, after)]
+    step = replace(plan, delta_n3=n3[0] - n3[1], component_delta=cc_after - cc_before)
     if rid in FPT_RULES:
         return None, step, after
-    if rid == "R5" and len(comps) != cc_before:
+    if rid == "R5" and cc_after != cc_before:
         return "bridge", None, None
-    if rid == "R3" and len(comps) != cc_before:
+    if rid == "R3" and cc_after != cc_before:
         return "connectivity", None, None
-    if rid == "R4" and len(comps) <= cc_before:
+    if rid == "R4" and cc_after <= cc_before:
         return "connectivity", None, None
     if rid == "R3" and g.has_edge(r["u"], r["w"]):
         return "edge uw already present", None, None
 
-    # scanning only structures that meet the touched set is complete: a
-    # forbidden structure avoiding every touched vertex existed before
-    created = introduces_forbidden(g, after, step.touched())
-    if created is not None:
-        return f"creates a new {created.kind}", None, None
-    if check_invariant(g).ok:
-        for comp in comps:
-            if len(comps) > 1 and not any(after.degree(v) <= 2 for v in comp):
-                return "would violate the invariant (component-without-goober)", None, None
-            if not _simple_or_k2e(after, comp):
-                return "would violate the invariant (multi-edge)", None, None
+    if invariant_ok:
+        # g has no 2-necklace or 2-blossom, so any in the result is new
+        clause = check_invariant(after).violated_clause
+        if clause in (KIND_2NECKLACE, KIND_2BLOSSOM):
+            return f"creates a new {clause}", None, None
+        if clause:
+            return f"would violate the invariant ({clause})", None, None
+    else:
+        # scanning only structures that meet the touched set is complete: a
+        # forbidden structure avoiding every touched vertex existed before
+        created = introduces_forbidden(g, after, touched)
+        if created is not None:
+            return f"creates a new {created.kind}", None, None
     return None, step, after
+
+
+def _vet_outside(g: Graph, match: RuleMatch):
+    """_vet on a caller's match, which the rule's matcher must find on g."""
+    if not _template_fits(g, match):
+        raise InadmissibleError(match.rule_id, "match does not fit the rule template")
+    return _vet(g, match, check_invariant(g).ok)
 
 
 def admissible(g: Graph, match: RuleMatch) -> tuple[bool, str]:
     """Full admissibility verdict with the violated condition on failure."""
-    reason, _, _ = _vet(g, match)
+    reason, _, _ = _vet_outside(g, match)
     return reason is None, reason or "ok"
 
 
 def apply_rule(g: Graph, match: RuleMatch) -> tuple[Graph, ReductionStep]:
     """Apply one rule; raises InadmissibleError with the reason otherwise."""
-    reason, step, after = _vet(g, match)
+    reason, step, after = _vet_outside(g, match)
     if reason is not None:
         raise InadmissibleError(match.rule_id, reason)
     return after, step
@@ -569,18 +565,19 @@ def apply_rule(g: Graph, match: RuleMatch) -> tuple[Graph, ReductionStep]:
 
 def _reduce(g: Graph, rules: tuple[str, ...]) -> tuple[Graph, list[ReductionStep]]:
     """Apply the first admissible match (rules in the given order, matches
-    smallest first) until none is left."""
+    smallest first) until none is left. The matches fit by construction; L/R
+    rules run on invariant graphs (checked at entry, kept by every admitted
+    step), and F rules never consult the invariant."""
     cur = g.copy()
     steps: list[ReductionStep] = []
     budget = 4 * (g.n + g.m) + 16
     while len(steps) <= budget:
         for match in (m for rule_id in rules for m in find_matches(cur, rule_id)):
-            try:
-                cur, step = apply_rule(cur, match)
-            except InadmissibleError:
-                continue
-            steps.append(step)
-            break
+            reason, step, after = _vet(cur, match, True)
+            if reason is None:
+                cur = after
+                steps.append(step)
+                break
         else:
             return cur, steps
     raise GraphError("reduction did not terminate within its budget")
@@ -611,70 +608,67 @@ def reconstruct_tree(
     """Lift a spanning forest of the reduced graph back over one step.
 
     Keeps every forest edge that survives in the pre-graph and searches all
-    ways to complete it across the replaced region, maximizing the leaf
+    ways to complete it with the edges the step removed, maximizing the leaf
     count. Raises ReconstructionError when the leaf contract cannot be met.
     """
-    g_after = step.replay(g_before)
-    comps_after = connected_components(g_after)
-    cc_pre = len(connected_components(g_before))
+    return _lift(g_before, step.replay(g_before), step, forest_edges)
+
+
+def _lift(
+    g_before: Graph, g_after: Graph, step: ReductionStep, forest_edges: set[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """reconstruct_tree with the replayed graph already at hand."""
     forest_edges = {edge_key(u, v) for u, v in forest_edges}
-    for comp in comps_after:
-        if len(comp) < 2:
-            continue
-        inside = {e for e in forest_edges if e[0] in comp and e[1] in comp}
-        if len(inside) != len(comp) - 1:
-            raise ReconstructionError("input forest does not span a component")
+    cc_after = len(connected_components(g_after))
+    if not (
+        len(forest_edges) == g_after.n - cc_after
+        and all(g_after.has_edge(u, v) for u, v in forest_edges)
+        and component_count(g_after.vertices, forest_edges) == cc_after
+    ):
+        raise ReconstructionError("input forest does not span the reduced graph")
     leaves_after = tree_leaf_count(forest_edges)
+    # a spanning forest has one tree per component of two or more vertices
+    nontrivial = len({v for e in forest_edges for v in e}) - len(forest_edges)
+    cc_pre = len(connected_components(g_before))
 
-    added_vs = set(step.added_vertices)
-    added_es = set(step.added_edges)
-    kept = {
-        e for e in forest_edges
-        if e not in added_es and e[0] not in added_vs and e[1] not in added_vs
-    }
-    pool_edges: list[tuple[int, int]] = []
-    removed_vs = set(step.removed_vertices)
-    removed_es = set(step.removed_edges)
-    for u, v in set(g_before.edges()):
-        e = edge_key(u, v)
-        if (u in removed_vs or v in removed_vs or e in removed_es) and e not in kept:
-            pool_edges.append(e)
-    pool_edges = sorted(set(pool_edges))
-
+    # a checked forest edge the step did not add is a pre-graph edge, so the
+    # kept part is acyclic in the pre-graph and need is never negative
+    kept = forest_edges - {edge_key(u, v) for u, v in step.added_edges}
+    # replay drops a vertex only once its edges are gone, so the removed
+    # edges hold every pre-graph edge at a removed vertex
+    pool_edges = sorted({edge_key(u, v) for u, v in step.removed_edges} - kept)
     need = (g_before.n - cc_pre) - len(kept)
-    if need < 0:
-        raise ReconstructionError("kept forest is larger than a spanning forest")
 
-    # every candidate has n - cc_pre distinct edges, so once they are edges
-    # of the pre-graph it spans it exactly when it leaves cc_pre components
+    # every candidate has n - cc_pre distinct edges of the pre-graph, so it
+    # spans the pre-graph exactly when it leaves cc_pre components
     best: set[tuple[int, int]] | None = None
     best_leaves = -1
     vertices = g_before.vertices
-    if all(g_before.has_edge(u, v) for u, v in kept):
-        for extra in itertools.combinations(pool_edges, need):
-            cand = kept | set(extra)
-            if component_count(vertices, cand) != cc_pre:
-                continue
-            leaves = tree_leaf_count(cand)
-            if leaves > best_leaves:
-                best_leaves = leaves
-                best = cand
+    for extra in itertools.combinations(pool_edges, need):
+        cand = kept | set(extra)
+        if component_count(vertices, cand) != cc_pre:
+            continue
+        leaves = tree_leaf_count(cand)
+        if leaves > best_leaves:
+            best_leaves = leaves
+            best = cand
     if best is None:
         raise ReconstructionError("no completion spans the original graph")
 
-    nontrivial = sum(1 for comp in comps_after if len(comp) >= 2)
     if step.rule_id in FPT_RULES:
         if best_leaves < leaves_after + 1:
             raise ReconstructionError("lift lost the extra leaf of an FPT step")
     else:
         # when a rewrite leaves a low-degree vertex behind, trees of the
-        # reduced graph carry a stronger leaf guarantee, worth 2/3 here
+        # reduced graph carry a stronger leaf guarantee, worth 2/3 here;
+        # only a touched vertex can change its degree
         slack = 0
         if nontrivial <= cc_pre:
             made_goober = any(
-                g_after.degree(v) <= 2
-                and (v in added_vs or (g_before.has_vertex(v) and g_before.degree(v) >= 3))
-                for v in g_after.vertices
+                g_after.has_vertex(v)
+                and g_after.degree(v) <= 2
+                and (v in step.added_vertices or (g_before.has_vertex(v) and g_before.degree(v) >= 3))
+                for v in step.touched()
             )
             slack = 2 if made_goober else 0
         if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
@@ -690,6 +684,6 @@ def reconstruct_chain(
     for step in steps:
         graphs.append(step.replay(graphs[-1]))
     edges = {edge_key(u, v) for u, v in forest_edges}
-    for g_before, step in zip(reversed(graphs[:-1]), reversed(steps)):
-        edges = reconstruct_tree(g_before, step, edges)
+    for i in reversed(range(len(steps))):
+        edges = _lift(graphs[i], graphs[i + 1], steps[i], edges)
     return edges

@@ -194,6 +194,33 @@ def test_missing_file_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_non_utf8_graph_exit_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.gr"
+    bad.write_bytes("c caf\xe9\np 2 1\ne 1 2\n".encode("latin-1"))
+    code, _, err = run(capsys, "solve", "-k", "2", str(bad))
+    assert code == 2 and err.count("error:") == 1 and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "option", [(), ("--trace", "{dir}"), ("-o", "{dir}")], ids=["graph", "trace", "output"]
+)
+def test_directory_path_exit_2(capsys, tmp_path, q3_file, option):
+    argv = [part.format(dir=tmp_path) for part in option]
+    graph = str(tmp_path) if not option else q3_file
+    code, _, err = run(capsys, "reduce", graph, *argv)
+    assert code == 2 and err.count("error:") == 1 and "directory" in err
+
+
+@pytest.mark.parametrize(
+    "bad_line", ["{not json", '{"rule": "R5"}'], ids=["not-json", "missing-key"]
+)
+def test_bad_replay_line_exit_2(capsys, tmp_path, q3_file, bad_line):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n" + bad_line + "\n")
+    code, _, err = run(capsys, "reduce", q3_file, "--replay", str(trace))
+    assert code == 2 and err.count("error:") == 1 and "line 2" in err
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.gr"
     bad.write_text("p 2 1\ne 1 9\n")

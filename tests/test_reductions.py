@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -23,6 +24,7 @@ from maxleaf.reductions import (
     apply_rule,
     find_matches,
     fpt_preprocess,
+    reconstruct_chain,
     reconstruct_tree,
     reduce_to_irreducible,
 )
@@ -155,13 +157,17 @@ def lift_meets_pipeline_bound(g, step, g2) -> bool:
     return Fraction(forest_leaf_count(lifted)) >= bound
 
 
-def test_l3_hand_built():
+def l3_graph():
     # x=1 and y=2 joined through gm=3; each keeps one side edge through a
     # degree-2 connector (4, 5) and one direct edge, into a 4-cycle of anchors
-    g = Graph(edges=[
+    return Graph(edges=[
         (1, 3), (3, 2), (1, 4), (4, 10), (1, 11), (2, 5), (5, 12), (2, 13),
         (10, 11), (11, 12), (12, 13), (13, 10),
     ])
+
+
+def test_l3_hand_built():
+    g = l3_graph()
     (m,) = find_matches(g, "L3")
     assert m.roles == {"x": 1, "y": 2, "gm": 3, "gx1": 4, "gy1": 5, "a": 10, "b": 11, "c": 12, "d": 13}
     g2, step = apply_rule(g, m)
@@ -306,30 +312,65 @@ def test_reduce_terminates_and_yields_irreducible(rng):
         assert cur == reduced
 
 
+def test_loop_applies_the_first_match_admissible_accepts():
+    # the loop vets its own matches without the template rematch and the
+    # invariant scan of the public path; both must pick the same step
+    states = 0
+    for n, degree, seed in itertools.product(range(6, 19), (2, 3), range(4)):
+        try:
+            g = random_invariant_graph(n, degree, seed=seed)
+        except GeneratorError:
+            continue
+        _, steps = reduce_to_irreducible(g)
+        cur = g
+        for step in steps + [None]:
+            first = next(
+                (
+                    m
+                    for rule in LOW_RULES + HIGH_RULES
+                    for m in find_matches(cur, rule)
+                    if admissible(cur, m)[0]
+                ),
+                None,
+            )
+            states += 1
+            if step is None:
+                assert first is None, (n, degree, seed)
+                break
+            cur, public_step = apply_rule(cur, first)
+            assert public_step == step, (n, degree, seed)
+    assert states >= 250
+
+
 def test_each_rule_application_is_checked_once(monkeypatch):
-    counts = {"apply_rule": 0, "build_plan": 0, "replay": 0}
+    def refuse(name):
+        def fail(*args):
+            raise AssertionError(f"{name} called during reduction")
+        return fail
 
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    replays = 0
+    replay = ReductionStep.replay
 
-    def refuse(*args):
-        raise AssertionError("admissible called during reduction")
+    def counting_replay(step, g):
+        nonlocal replays
+        replays += 1
+        return replay(step, g)
 
-    monkeypatch.setattr(reductions, "apply_rule", counting("apply_rule", reductions.apply_rule))
-    monkeypatch.setattr(reductions, "build_plan", counting("build_plan", reductions.build_plan))
-    monkeypatch.setattr(ReductionStep, "replay", counting("replay", ReductionStep.replay))
-    monkeypatch.setattr(reductions, "admissible", refuse)
     for n, degree, seed in ((16, 3, 1), (20, 2, 7)):
-        for key in counts:
-            counts[key] = 0
-        _, steps = reduce_to_irreducible(random_invariant_graph(n, degree, seed=seed))
+        g = random_invariant_graph(n, degree, seed=seed)
+        with monkeypatch.context() as patch:
+            # the loop's own matches fit their templates, and on invariant
+            # input the result's invariant check covers the forbidden scan
+            patch.setattr(reductions, "_template_fits", refuse("_template_fits"))
+            patch.setattr(reductions, "introduces_forbidden", refuse("introduces_forbidden"))
+            reduced, steps = reduce_to_irreducible(g)
         assert steps
-        # a rejected attempt stops before planning or right after replaying
-        assert counts["replay"] == counts["build_plan"] <= counts["apply_rule"]
-        assert counts["build_plan"] >= len(steps)
+        forest = exact_forest(reduced)
+        with monkeypatch.context() as patch:
+            patch.setattr(ReductionStep, "replay", counting_replay)
+            replays = 0
+            reconstruct_chain(g, steps, forest)
+        assert replays == len(steps)
 
 
 def test_invariant_preserved_along_reductions(rng):
@@ -464,8 +505,25 @@ def test_reconstruct_rejects_non_spanning_forest():
     g2, step = apply_rule(g, m)
     from maxleaf.reductions import ReconstructionError
 
+    ((u, v),) = step.removed_edges
+    others = sorted(g.vertices - {u, v})
+    for forest in (
+        set(),
+        # a triangle with a pendant: n - 1 edges, one vertex left out
+        {(others[0], others[1]), (others[1], others[2]), (others[0], others[2]), (others[0], u)},
+        # a star whose edge uv is the one the step removed
+        {(u, v)} | {(u, w) for w in others},
+    ):
+        with pytest.raises(ReconstructionError):
+            reconstruct_tree(g, step, forest)
+    # L3 replaces the region by 14 ~ {10, 11} and 15 ~ {12, 13}; this forest
+    # has the right size but closes 10-11-14 and leaves 13 out, and the lift
+    # would drop both edges at 14 and complete the rest
+    g = l3_graph()
+    (m,) = find_matches(g, "L3")
+    _, step = apply_rule(g, m)
     with pytest.raises(ReconstructionError):
-        reconstruct_tree(g, step, set())
+        reconstruct_tree(g, step, {(10, 11), (10, 14), (11, 14), (11, 12), (12, 15)})
 
 
 def test_reconstruct_r5_keeps_the_tree():
