@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import FORMAT_VERSION, __version__
@@ -80,12 +81,7 @@ def cmd_solve(args) -> int:
     verdict = fpt_decide(g, args.k, want_witness=args.witness)
     payload = {"answer": verdict.answer, "k": args.k}
     if args.stats:
-        payload["stats"] = {
-            "subsets_enumerated": verdict.stats.subsets_enumerated,
-            "subsets_pruned": verdict.stats.subsets_pruned,
-            "reductions_applied": verdict.stats.reductions_applied,
-            "k_after_preprocess": verdict.stats.k_after_preprocess,
-        }
+        payload["stats"] = asdict(verdict.stats)
     if args.witness and verdict.witness is not None:
         payload["witness"] = [list(e) for e in verdict.witness]
     if args.json:

@@ -5,9 +5,13 @@ a spanning tree form a connected dominating set, so the maximum leaf count is
 n minus the smallest one, sought depth-first among connected vertex sets
 only. The decision procedure preprocesses with the two-terminal rules, applies
 the counting shortcuts, and then searches the forced-leaf sets over the
-suppressed graph level by level, visiting a set only when all its one-smaller
-subsets are feasible. Each visited set is decided in polynomial time via a
-minimum-cost spanning tree, evaluated on the suppressed graph's bitmask index.
+suppressed graph from one of two sides, whichever has the smaller
+enumeration bound (``SolveStats.search_side``). The forced side goes level by
+level, visiting a set only when all its one-smaller subsets are feasible. The
+kept side enumerates the complements: connected dominating sets small enough
+for their forced set to reach k, with the same depth-first enumerator as the
+oracle. Each visited set is decided in polynomial time via a minimum-cost
+spanning tree, evaluated on the suppressed graph's bitmask index.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ class ForcedLeafQuery:
 @dataclass
 class SolveStats:
     subsets_enumerated: int = 0  # forced sets evaluated by achievable_leaves
-    subsets_pruned: int = 0  # left out because a subset of theirs is infeasible
+    subsets_pruned: int = 0  # forced side: left out because a subset of theirs is infeasible
     reductions_applied: int = 0
     k_after_preprocess: int = 0
+    search_side: str | None = None  # "forced" or "kept"; None when no search ran
 
 
 @dataclass
@@ -101,32 +106,54 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
         if u != w:
             adj[idx[u]] |= 1 << idx[w]
             adj[idx[w]] |= 1 << idx[u]
-    full = (1 << len(order)) - 1
-    # a vertex joining a connected set is dominated and has a neighbour in
-    # it, so it newly dominates at most `spread` vertices; sizes stop by n - 2,
-    # as a spanning tree's internal vertices are a connected dominating set
-    spread = max(a.bit_count() for a in adj) - 1
+    spread = _spread(adj)
+    # sizes stop by n - 2, as a spanning tree's internal vertices are a
+    # connected dominating set
     for size in itertools.count(max(1, -(-(g.n - 2) // spread))):
-        for root in range(g.n):  # smallest member: its hits precede larger roots'
-            below, best = (1 << root) - 1, 0
-            # (set, dominated, undecided neighbours above root, members left), <= n deep
-            stack = [(1 << root, adj[root] | 1 << root, adj[root] & ~below, size - 1)]
-            while stack:
-                members, dom, ext, left = stack.pop()
-                while ext and left:  # add the lowest undecided neighbour; stack the set without it
-                    bit = ext & -ext
-                    ext ^= bit
-                    stack.append((members, dom, ext, left))
-                    near = adj[bit.bit_length() - 1]
-                    members, dom, ext, left = members | bit, dom | near, ext | near & ~(dom | below), left - 1
-                    if (full & ~dom).bit_count() > left * spread:
-                        break
-                else:
-                    diff = members ^ best
-                    if not left and dom == full and (not best or members & diff & -diff):
-                        best = members  # lexicographically first so far
+        for root in range(g.n - size + 1):  # smallest member: its hits precede larger roots'
+            best = 0
+            for members in _connected_sets(adj, spread, 1 << root, size, (1 << root) - 1):
+                diff = members ^ best
+                if not best or members & diff & -diff:
+                    best = members  # lexicographically first so far
             if best:
                 return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
+
+
+def _spread(adj) -> int:
+    """Most vertices that a vertex joining a connected set can newly
+    dominate: it is dominated already and has a neighbour in the set."""
+    return max(1, max(a.bit_count() for a in adj) - 1)
+
+
+def _connected_sets(adj, spread: int, root: int, size: int, below: int = 0, must: int = 0):
+    """Yield, as masks, the connected sets of ``size`` positions that contain
+    the ``root`` bit, no bit of ``below`` and every bit of ``must``, and
+    dominate every position; ``adj[i]`` is the neighbour mask of position i.
+
+    Depth first, each set once: the lowest undecided neighbour is added, and
+    the set without it is stacked, never to take it back. A set is dropped
+    when more positions are undominated than its members still to come can
+    dominate, ``spread`` each (see _spread), and a ``must`` bit is never
+    left out."""
+    full = (1 << len(adj)) - 1
+    near = adj[root.bit_length() - 1]
+    # (set, dominated, undecided neighbours, members left), <= n deep
+    stack = [(root, near | root, near & ~below, size - 1)]
+    while stack:
+        members, dom, ext, left = stack.pop()
+        while ext and left:
+            bit = ext & -ext
+            ext ^= bit
+            if not bit & must:
+                stack.append((members, dom, ext, left))
+            near = adj[bit.bit_length() - 1]
+            members, dom, ext, left = members | bit, dom | near, ext | near & ~(dom | below), left - 1
+            if (full & ~dom).bit_count() > left * spread:
+                break
+        else:
+            if not left and dom == full and not must & ~members:
+                yield members
 
 
 def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int]]:
@@ -298,13 +325,63 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
         return Verdict("NO", None, stats)  # path or cycle, k2 > 2
 
     s = suppress(reduced)
-    hit = _search_forced_sets(s, sorted(vertices_ge3(reduced)), k2, len(host_leaves), stats)
+    hit = _search(s, sorted(vertices_ge3(reduced)), k2, len(host_leaves), stats)
     if hit is None:
         return Verdict("NO", None, stats)
     witness = None
     if want_witness:
         witness = lift_witness(forced_leaf_tree(reduced, s, hit))
     return Verdict("YES", witness, stats)
+
+
+def _search(s, big, k, host_leaf_count, stats, side=None) -> frozenset[int] | None:
+    """A forced set over ``big`` whose achievable value reaches k, or None,
+    sought from ``side``, by default the side with the smaller enumeration
+    bound; records the side in ``stats.search_side``.
+
+    A forced set F is worth |F| + host leaves + gain, and the gain is at
+    most 2 per loop plus the cost of every suppressed edge, so F reaches k
+    only if it leaves at most ``top_kept`` vertices kept. The vertices
+    outside ``big`` and those carrying a loop are never forced, so they lie
+    in every kept set. The forced side visits at most the subsets of
+    ``big`` of size up to k; the kept side adds at most ``top_kept`` minus
+    that many of the other vertices. Ties go to the forced side."""
+    ix = s.index
+    must = ix.full & ~ix.mask(big) | ix.loops
+    gain_cap = 2 * ix.loop_count + sum(cost for *_, cost in ix.edges)
+    top_kept = len(ix.adj) - (k - host_leaf_count - gain_cap)
+    if side is None:
+        fixed = must.bit_count()
+        kept_bound = sum(comb(len(ix.adj) - fixed, j) for j in range(top_kept - fixed + 1))
+        forced_bound = sum(comb(len(big), j) for j in range(min(k, len(big)) + 1))
+        side = "kept" if kept_bound < forced_bound else "forced"
+    stats.search_side = side
+    if side == "kept":
+        return _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must)
+    return _search_forced_sets(s, big, k, host_leaf_count, stats)
+
+
+def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must) -> frozenset[int] | None:
+    """First forced set whose achievable value reaches k, found through its
+    kept side: the connected dominating sets of the suppressed graph with
+    at most ``top_kept`` vertices that hold every ``must`` bit, by size and
+    then as _connected_sets yields them. They grow from the lowest ``must``
+    bit, or with none from each smallest member in turn. Each evaluated set
+    counts in ``subsets_enumerated``."""
+    ix = s.index
+    order = sorted(s.vertices)
+    spread = _spread(ix.adj)
+    smallest = max(1, must.bit_count(), -(-(len(order) - 2) // spread))  # as in exact_max_leaves
+    for size in range(smallest, min(top_kept, len(order)) + 1):
+        roots = (must & -must,) if must else (1 << p for p in range(len(order) - size + 1))
+        for root in roots:
+            for kept in _connected_sets(ix.adj, spread, root, size, 0 if must else root - 1, must):
+                forced = frozenset(v for v in order if not kept >> ix.pos[v] & 1)
+                value = achievable_leaves(ForcedLeafQuery(s, forced, host_leaf_count))
+                stats.subsets_enumerated += 1
+                if value is not None and value >= k:
+                    return forced
+    return None
 
 
 def _search_forced_sets(s, big, k, host_leaf_count, stats) -> frozenset[int] | None:
@@ -362,7 +439,7 @@ def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, in
     if not any(g.degree(v) >= 3 for v in g.vertices):
         return edges  # path or cycle: the shortcut fired on k <= 2
     s = suppress(g)
-    hit = _search_forced_sets(s, sorted(vertices_ge3(g)), k, len(graph_leaves(g)), stats)
+    hit = _search(s, sorted(vertices_ge3(g)), k, len(graph_leaves(g)), stats)
     if hit is None:
         raise GraphError("shortcut promised a tree the instance cannot deliver")
     return forced_leaf_tree(g, s, hit)

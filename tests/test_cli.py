@@ -52,7 +52,8 @@ def test_solve_json_stats_witness(capsys, q3_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "YES"
-    assert {"subsets_enumerated", "subsets_pruned"} <= doc["stats"].keys()
+    assert {"subsets_enumerated", "subsets_pruned", "search_side"} <= doc["stats"].keys()
+    assert doc["stats"]["search_side"] in ("forced", "kept")
     tree = [tuple(e) for e in doc["witness"]]
     assert verify_spanning_tree(q3(), tree) and tree_leaf_count(tree) >= 4
 

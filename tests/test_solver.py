@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from maxleaf import graphs, potential, solver
 from maxleaf.graphs import Graph, GraphError, graph_leaves, parse_graph, suppress, vertices_ge3
-from maxleaf.generators import flower, flowerbed, g7, necklace, necklace_ring, q3
+from maxleaf.generators import flower, flowerbed, g7, necklace, necklace_ring, q3, random_invariant_graph
 from maxleaf.solver import (
     CapacityError,
     ForcedLeafQuery,
@@ -26,6 +26,8 @@ from conftest import (
     brute_max_leaves,
     combination_cds_oracle,
     exhaustive_forced_search,
+    plant_blossom,
+    plant_diamond,
     random_connected,
     random_multigraph,
     spanning_trees,
@@ -321,6 +323,82 @@ def test_flowerbed3_no_threshold_is_fast():
     # the exhaustive enumeration visited 9,740,686 forced sets here
     assert v.stats.subsets_enumerated + v.stats.subsets_pruned == 9_740_686
     assert v.stats.subsets_enumerated < 1000
+
+
+def _search_instances(rng):
+    """Connected graphs with a degree-3 vertex for the side tests: random
+    ones with n <= 11 (pendants and degree-2 runs), then the same kind with
+    some edges doubled, kept when they still suppress (no parallel edge at
+    a degree-2 vertex)."""
+    made = 0
+    while made < 120:
+        g = random_connected(rng.randint(4, 11), rng.randint(0, 6), rng)
+        if made >= 60:
+            pairs = sorted(set(g.edges()))
+            for _ in range(rng.randint(1, 4)):
+                g.add_edge(*rng.choice(pairs))
+        if not any(g.degree(v) >= 3 for v in g.vertices):
+            continue
+        try:
+            s = suppress(g)
+        except GraphError:
+            continue
+        made += 1
+        yield g, s
+
+
+def test_each_side_matches_exhaustive_reference(rng):
+    outcomes = {("forced", True): 0, ("forced", False): 0, ("kept", True): 0, ("kept", False): 0}
+    for g, s in _search_instances(rng):
+        big = sorted(vertices_ge3(g))
+        hl = len(graph_leaves(g))
+        for k in range(1, g.n + 1):
+            ref, _ = exhaustive_forced_search(s, big, k, hl)
+            for side in ("forced", "kept"):
+                stats = SolveStats()
+                hit = solver._search(s, big, k, hl, stats, side=side)
+                assert stats.search_side == side
+                assert (hit is None) == (ref is None), (sorted(g.edges()), k, side)
+                outcomes[side, hit is not None] += 1
+                if side == "kept":
+                    assert stats.subsets_pruned == 0
+                if hit is None:
+                    continue
+                assert achievable_leaves(ForcedLeafQuery(s, hit, hl)) >= k
+                tree = forced_leaf_tree(g, s, hit)
+                assert verify_spanning_tree(g, tree) and tree_leaf_count(tree) >= k, (sorted(g.edges()), k, side)
+    assert min(outcomes.values()) >= 150, outcomes
+
+
+def test_random18_no_threshold_takes_kept_side():
+    g = random_invariant_graph(18, 3, 0)
+    opt, _ = exact_max_leaves(g)
+    v = fpt_decide(g, opt + 1)
+    assert not v.is_yes and v.stats.search_side == "kept"
+    # the forced side evaluates 76,418 sets here
+    assert v.stats.subsets_enumerated < 100
+
+
+def test_decide_matches_oracle_at_larger_sizes():
+    """fpt_decide against exact_max_leaves on n = 13..24: random invariant
+    graphs of minimum degree 2 and 3, each also with a planted diamond and
+    with a planted blossom (so that F1/F2 fire), at every k from opt - 2 to
+    opt + 1, with every YES witness verified. About 3.5 s on a 2-vCPU VM,
+    most of it in the oracle and the shortcut witnesses."""
+    rng = random.Random(13)
+    reductions = 0
+    for n in range(13, 25):
+        for target in (2, 3):
+            g = random_invariant_graph(n, target, n)
+            for h in (g, plant_diamond(g.copy(), rng), plant_blossom(g.copy(), rng)):
+                opt, _ = exact_max_leaves(h)
+                for k in range(opt - 2, opt + 2):
+                    v = fpt_decide(h, k, want_witness=True)
+                    assert v.is_yes == (opt >= k), (n, target, sorted(h.edges()), k)
+                    reductions += v.stats.reductions_applied
+                    if v.is_yes:
+                        assert verify_spanning_tree(h, v.witness) and tree_leaf_count(v.witness) >= k
+    assert reductions > 0
 
 
 def dfs_tree(g):
