@@ -37,12 +37,14 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 class Graph:
     """Undirected multigraph. Loops and parallel edges are representable;
-    a loop contributes 2 to the degree of its vertex."""
+    a loop contributes 2 to the degree of its vertex. Degrees are kept up to
+    date on every mutation; a vertex without edges has no degree entry."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_deg")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, Counter[int]] = {}
+        self._deg: dict[int, int] = {}
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -53,14 +55,25 @@ class Graph:
     def add_vertex(self, v: int) -> None:
         self._adj.setdefault(v, Counter())
 
+    def _shift_degree(self, v: int, by: int) -> None:
+        d = self._deg.get(v, 0) + by
+        if d:
+            self._deg[v] = d
+        else:
+            del self._deg[v]
+
     def add_edge(self, u: int, v: int) -> None:
         self.add_vertex(u)
         self.add_vertex(v)
+        deg = self._deg
         if u == v:
             self._adj[u][u] += 1
+            deg[u] = deg.get(u, 0) + 2
         else:
             self._adj[u][v] += 1
             self._adj[v][u] += 1
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove one copy of the edge uv."""
@@ -73,18 +86,25 @@ class Graph:
             self._adj[v][u] -= 1
             if self._adj[v][u] == 0:
                 del self._adj[v][u]
+            self._shift_degree(u, -1)
+            self._shift_degree(v, -1)
+        else:
+            self._shift_degree(u, -2)
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._adj:
             raise GraphError(f"no vertex {v}")
-        for w in list(self._adj[v]):
+        for w, k in self._adj[v].items():
             if w != v:
                 del self._adj[w][v]
+                self._shift_degree(w, -k)
         del self._adj[v]
+        self._deg.pop(v, None)
 
     def copy(self) -> "Graph":
         g = Graph()
         g._adj = {v: Counter(c) for v, c in self._adj.items()}
+        g._deg = dict(self._deg)
         return g
 
     # -- queries ------------------------------------------------------------
@@ -99,10 +119,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        # non-loop entries appear symmetrically, loops once
-        s = sum(k for v, c in self._adj.items() for w, k in c.items() if w != v)
-        loops = sum(c[v] for v, c in self._adj.items() if v in c)
-        return s // 2 + loops
+        return sum(self._deg.values()) // 2
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
@@ -118,10 +135,7 @@ class Graph:
     def degree(self, v: int) -> int:
         if v not in self._adj:
             raise GraphError(f"no vertex {v}")
-        d = 0
-        for w, k in self._adj[v].items():
-            d += 2 * k if w == v else k
-        return d
+        return self._deg.get(v, 0)
 
     def loops_at(self, v: int) -> int:
         return self._adj[v].get(v, 0)
@@ -519,10 +533,14 @@ def suppress(g: Graph) -> SuppressedGraph:
 # -- subgraphs -------------------------------------------------------------------
 
 class SubgraphF:
-    """A subgraph of a host graph: a vertex set plus an edge subset. Component
-    count, leaves and dead leaves are computed once at construction."""
+    """A subgraph of a host graph: a vertex set plus an edge subset, with its
+    component count, leaves, dead leaves (leaves whose host neighbours all lie
+    in the subgraph), degrees and number of host non-goobers. A subgraph
+    built from scratch computes these over all of itself; one grown by
+    ``with_additions`` derives them from its parent's, looking only at what
+    the growth touches. Both assume the host is not mutated meanwhile."""
 
-    __slots__ = ("host", "vertices", "edges", "cc", "leaves", "dead_leaves")
+    __slots__ = ("host", "vertices", "edges", "cc", "leaves", "dead_leaves", "nongoob", "_deg")
 
     def __init__(self, host: Graph, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         self.host = host
@@ -531,42 +549,102 @@ class SubgraphF:
         for v in self.vertices:
             if not host.has_vertex(v):
                 raise GraphError(f"subgraph vertex {v} not in host")
+        self._deg: dict[int, int] = {}
         for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise GraphError(f"subgraph edge {u}-{v} has endpoint outside the vertex set")
-            if not host.has_edge(u, v):
-                raise GraphError(f"subgraph edge {u}-{v} not in host")
-        deg = Counter()
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        self.leaves = frozenset(v for v in self.vertices if deg[v] == 1)
-        self.dead_leaves = frozenset(
-            v for v in self.leaves if all(w in self.vertices for w in host.neighbors(v))
-        )
+            self._check_edge(u, v)
+            self._deg[u] = self._deg.get(u, 0) + 1
+            self._deg[v] = self._deg.get(v, 0) + 1
+        self.leaves = frozenset(v for v, d in self._deg.items() if d == 1)
+        self.dead_leaves = frozenset(v for v in self.leaves if self._is_closed(v))
         self.cc = component_count(self.vertices, self.edges)
+        self.nongoob = sum(1 for v in self.vertices if not is_goober(host, v))
+
+    def _check_edge(self, u: int, v: int) -> None:
+        if u not in self.vertices or v not in self.vertices:
+            raise GraphError(f"subgraph edge {u}-{v} has endpoint outside the vertex set")
+        if not self.host.has_edge(u, v):
+            raise GraphError(f"subgraph edge {u}-{v} not in host")
+
+    def _is_closed(self, v: int) -> bool:
+        """Every host neighbour of v lies in the subgraph."""
+        return self.host._adj[v].keys() <= self.vertices
 
     @classmethod
     def empty(cls, host: Graph) -> "SubgraphF":
         return cls(host, (), ())
 
     def is_spanning(self) -> bool:
-        return self.vertices == self.host.vertices
+        return len(self.vertices) == self.host.n
 
     def boundary(self) -> set[int]:
         """Vertices of the subgraph with at least one host neighbor outside."""
-        return {
-            v
-            for v in self.vertices
-            if any(w not in self.vertices for w in self.host.neighbors(v))
-        }
+        return {v for v in self.vertices if not self._is_closed(v)}
 
     def with_additions(self, new_vertices: Iterable[int], new_edges: Iterable[tuple[int, int]]) -> "SubgraphF":
-        return SubgraphF(
-            self.host,
-            self.vertices | set(new_vertices),
-            set(self.edges) | {edge_key(u, v) for u, v in new_edges},
-        )
+        """This subgraph grown by the given vertices and edges. Only the new
+        vertices and edges are checked against the host, and the caches are
+        updated from the vertices they touch."""
+        host = self.host
+        fresh = set(new_vertices) - self.vertices
+        for v in fresh:
+            if not host.has_vertex(v):
+                raise GraphError(f"subgraph vertex {v} not in host")
+        grown = SubgraphF.__new__(SubgraphF)
+        grown.host = host
+        grown.vertices = self.vertices | fresh
+        added = {edge_key(u, v) for u, v in new_edges} - self.edges
+        grown.edges = self.edges | added
+        grown._deg = deg = self._deg.copy()
+        touched = set(fresh)
+        for u, v in added:
+            grown._check_edge(u, v)
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+            touched.update((u, v))
+        leaves = set(self.leaves)
+        for v in touched:
+            if deg.get(v) == 1:
+                leaves.add(v)
+            else:
+                leaves.discard(v)
+        # a leaf turns dead when it is new or when one of its outside host
+        # neighbours came in; once dead it stays dead while it is a leaf
+        recheck = {v for v in touched if v in leaves}
+        for v in fresh:
+            recheck |= host._adj[v].keys() & leaves
+        grown.leaves = frozenset(leaves)
+        grown.dead_leaves = self.dead_leaves & leaves | {v for v in recheck if grown._is_closed(v)}
+        grown.cc = self._grown_cc(fresh, added, grown)
+        grown.nongoob = self.nongoob + sum(1 for v in fresh if not is_goober(host, v))
+        return grown
+
+    def _grown_cc(self, fresh: set[int], added: set[tuple[int, int]], grown: "SubgraphF") -> int:
+        """Component count after adding ``fresh`` vertices and ``added``
+        edges, by union-find over the touched vertices only. Each fresh
+        vertex starts a component and each merge ends one; a group's root is
+        an old vertex whenever the group holds one. Only a merge of two groups
+        that both hold old vertices, which may already share a component,
+        needs a count over the whole grown subgraph."""
+        parent: dict[int, int] = {}
+
+        def find(a: int) -> int:
+            while parent.get(a, a) != a:
+                a = parent[a]
+            return a
+
+        count = self.cc + len(fresh)
+        for u, v in added:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            if ru in fresh:
+                parent[ru] = rv
+            elif rv in fresh:
+                parent[rv] = ru
+            else:
+                return component_count(grown.vertices, grown.edges)
+            count -= 1
+        return count
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgraphF):

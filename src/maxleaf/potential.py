@@ -5,6 +5,11 @@ spanning-tree heuristic.
 All potential arithmetic is exact: values are half-integers stored as their
 doubled integer. The heuristic makes no bound promise; callers compare the
 achieved leaf count against the target ratio themselves.
+
+Every candidate move grows the current subgraph with
+``SubgraphF.with_additions``, which costs the vertices the move touches, and
+the subgraph carries the counts the potential needs, so scoring a candidate
+against its own host does not walk the subgraph.
 """
 
 from __future__ import annotations
@@ -50,10 +55,11 @@ class DeltaTriple:
 
 def leaf_potential(g: Graph, f: SubgraphF) -> PotentialReport:
     """2.5*leaves + 0.5*dead - nongoober - 6*components, exactly. Goober
-    status is judged against the whole host graph."""
+    status is judged against ``g``; against the subgraph's own host it is
+    the subgraph's cached count."""
     leaves = len(f.leaves)
     dead = len(f.dead_leaves)
-    nongoob = sum(1 for v in f.vertices if not is_goober(g, v))
+    nongoob = f.nongoob if g is f.host else sum(1 for v in f.vertices if not is_goober(g, v))
     twice = 5 * leaves + dead - 2 * nongoob - 12 * f.cc
     return PotentialReport(leaves, dead, nongoob, f.cc, twice)
 
@@ -95,7 +101,8 @@ def try_augment(g: Graph, f: SubgraphF) -> SubgraphF | None:
     base = leaf_potential(g, f)
 
     def accept(candidate: SubgraphF) -> bool:
-        if candidate.vertices == f.vertices and candidate.edges == f.edges:
+        # candidates are grown from f, so equal sizes mean nothing was added
+        if len(candidate.vertices) == len(f.vertices) and len(candidate.edges) == len(f.edges):
             return False
         if candidate.cc > f.cc:
             return False

@@ -64,6 +64,31 @@ def plant_blossom(g: Graph, rng: random.Random) -> Graph:
     return g
 
 
+def random_loopless_multigraph(n: int, m: int, rng: random.Random) -> Graph:
+    """Connected multigraph on 1..n: a random tree plus ``m`` more edges
+    between distinct endpoints, parallels welcome."""
+    g = Graph(vertices=range(1, n + 1))
+    for v in range(2, n + 1):
+        g.add_edge(v, rng.randint(1, v - 1))
+    for _ in range(m):
+        g.add_edge(*rng.sample(range(1, n + 1), 2))
+    return g
+
+
+# -- degree recount ---------------------------------------------------------------
+
+
+def recount_degrees(g: Graph) -> tuple[dict[int, int], int]:
+    """Every vertex's degree and the edge count, summed from the adjacency
+    (neighbours and multiplicities) without the graph's degree cache."""
+    deg = {}
+    twice_m = 0
+    for v in g.vertices:
+        deg[v] = sum(g.multiplicity(v, w) * (2 if w == v else 1) for w in g.neighbors(v))
+        twice_m += deg[v]
+    return deg, twice_m // 2
+
+
 # -- naive connectivity oracles -------------------------------------------------
 
 

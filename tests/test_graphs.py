@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from maxleaf.graphs import (
 )
 from maxleaf.generators import flowerbed, flower, g7, q3
 
-from conftest import naive_components, random_multigraph
+from conftest import naive_components, random_multigraph, recount_degrees
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -113,6 +114,71 @@ def test_degree_counts_loops_twice():
     g.add_edge(1, 2)
     assert g.degree(1) == 3
     assert g.m == 2
+
+
+# parse_graph("p 200000 0") peaked at 36,692,643 traced bytes before degrees
+# were cached (CPython 3.11.7; 3.10.13 peaked lower, at 34,597,458). A header
+# with no edges must still cost no more than that plus 5%: the degree cache
+# holds no entry for a vertex without edges.
+EDGELESS_HEADER_PEAK_LIMIT = 38_527_275
+
+
+def test_edgeless_header_allocates_no_degree_entries():
+    tracemalloc.start()
+    try:
+        g = parse_graph("p 200000 0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 200000 and g.m == 0
+    assert peak <= EDGELESS_HEADER_PEAK_LIMIT
+
+
+def check_degrees(g: Graph) -> None:
+    deg, m = recount_degrees(g)
+    assert {v: g.degree(v) for v in g.vertices} == deg
+    assert g.m == m
+
+
+GRAPH_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add_vertex", "add_edge", "remove_edge", "remove_vertex", "copy"]),
+        st.integers(1, 6),
+        st.integers(1, 6),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_OPS)
+def test_degree_cache_matches_recount(ops):
+    g = Graph()
+    copies = []  # (copy, its recount when taken): later steps must not touch it
+    for op, u, v in ops:
+        if op == "add_vertex":
+            g.add_vertex(u)
+        elif op == "add_edge":
+            g.add_edge(u, v)  # loops and parallel copies included
+        elif op == "remove_edge":
+            if g.has_edge(u, v):
+                g.remove_edge(u, v)
+            else:
+                with pytest.raises(GraphError):
+                    g.remove_edge(u, v)
+        elif op == "remove_vertex":
+            if g.has_vertex(u):
+                g.remove_vertex(u)
+            else:
+                with pytest.raises(GraphError):
+                    g.remove_vertex(u)
+        else:
+            copies.append((g, recount_degrees(g)))
+            g = g.copy()
+        check_degrees(g)
+    for old, counts in copies:
+        check_degrees(old)
+        assert recount_degrees(old) == counts
 
 
 def test_remove_vertex_leaves_hole():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf.graphs import Graph, GraphError, SubgraphF, n_ge3
-from maxleaf.generators import g7, q3
+from maxleaf.graphs import Graph, GraphError, SubgraphF, edge_key, n_ge3
+from maxleaf.generators import flowerbed, g7, necklace_ring, q3
 from maxleaf.potential import (
     DeltaTriple,
+    _join_components,
     delta_between,
     expand,
     expand_many,
@@ -19,7 +20,7 @@ from maxleaf.potential import (
 )
 from maxleaf.solver import tree_leaf_count, verify_spanning_tree
 
-from conftest import random_connected
+from conftest import random_connected, random_loopless_multigraph
 
 
 def path(n):
@@ -118,6 +119,17 @@ def test_expand_inside_vertex_is_identity():
         assert expand(f, inner[0]) == f
 
 
+def assert_matches_scratch(f: SubgraphF) -> None:
+    """The caches of a grown subgraph equal those of the same subgraph built
+    from scratch, and its potential report equals one summed over a copy of
+    the host (which cannot use the cached non-goober count)."""
+    fresh = SubgraphF(f.host, f.vertices, f.edges)
+    assert f.leaves == fresh.leaves
+    assert f.dead_leaves == fresh.dead_leaves
+    assert f.cc == fresh.cc
+    assert leaf_potential(f.host, f) == leaf_potential(f.host, fresh) == leaf_potential(f.host.copy(), f)
+
+
 def test_expand_deltas_match_recomputation(rng):
     for _ in range(1000):
         g = random_connected(rng.randint(3, 9), rng.randint(0, 6), rng)
@@ -126,14 +138,86 @@ def test_expand_deltas_match_recomputation(rng):
             f = expand(f, rng.choice(sorted(g.vertices)))
         v = rng.choice(sorted(g.vertices))
         f2 = expand(f, v)
-        fresh = SubgraphF(g, f2.vertices, f2.edges)  # recompute caches from scratch
-        assert f2.leaves == fresh.leaves
-        assert f2.dead_leaves == fresh.dead_leaves
-        assert f2.cc == fresh.cc
+        assert_matches_scratch(f2)
         if v not in f.vertices:
             assert f2.cc == f.cc + 1 or f2 == f
         newly = f2.vertices - f.vertices - {v}
         assert newly <= f2.leaves | {v}
+
+
+@pytest.fixture
+def checked_growth(monkeypatch):
+    """Checks every subgraph that ``with_additions`` returns against a
+    from-scratch build, and tallies the growths that add an edge between two
+    vertices the subgraph already had."""
+    grow = SubgraphF.with_additions
+    tally = {"calls": 0, "old_joins": 0}
+
+    def checked(self, new_vertices, new_edges):
+        new_vertices, new_edges = list(new_vertices), list(new_edges)
+        grown = grow(self, new_vertices, new_edges)
+        assert grown.vertices == self.vertices | set(new_vertices)
+        assert grown.edges == self.edges | {edge_key(u, v) for u, v in new_edges}
+        assert_matches_scratch(grown)
+        tally["calls"] += 1
+        tally["old_joins"] += any(u in self.vertices and v in self.vertices for u, v in new_edges)
+        return grown
+
+    monkeypatch.setattr(SubgraphF, "with_additions", checked)
+    return tally
+
+
+def random_growth(g: Graph, rng: random.Random) -> SubgraphF:
+    """A random sequence of the moves the builder makes, plus raw additions of
+    host vertices and edges, some of whose edges close cycles or join
+    components through a new vertex."""
+    f = SubgraphF.empty(g)
+    order = sorted(g.vertices)
+    for _ in range(rng.randint(1, 8)):
+        move = rng.randrange(4)
+        if move == 0:
+            f = expand(f, rng.choice(order))
+        elif move == 1:
+            f = expand_many(f, rng.sample(order, min(3, len(order))))
+        elif move == 2 and f.vertices and not f.is_spanning():
+            f = try_augment(g, f) or f  # goober attachment comes first
+        else:
+            vs = f.vertices | {v for v in order if rng.random() < 0.3}
+            es = [e for e in set(g.edges()) if e[0] in vs and e[1] in vs and rng.random() < 0.4]
+            f = f.with_additions(vs - f.vertices, es)
+    return f
+
+
+def test_incremental_subgraphs_match_scratch(rng, checked_growth):
+    for trial in range(300):
+        n = rng.randint(2, 10)
+        if trial % 2:
+            g = random_loopless_multigraph(n, rng.randint(0, 2 * n), rng)
+        else:
+            g = random_connected(n, rng.randint(0, 2 * n), rng)
+        f = random_growth(g, rng)
+        _join_components(g, f.with_additions(g.vertices - f.vertices, ()))
+    assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] > 100
+
+
+def test_greedy_growths_match_scratch(rng, checked_growth):
+    for _ in range(30):
+        greedy_spanning_tree(random_connected(rng.randint(2, 12), rng.randint(0, 8), rng))
+    for _ in range(10):
+        greedy_spanning_tree(random_loopless_multigraph(rng.randint(2, 10), rng.randint(0, 10), rng))
+    greedy_spanning_tree(necklace_ring(3))
+    assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] > 0
+
+
+def test_with_additions_rejects_what_the_host_lacks():
+    g = Graph(edges=[(1, 2), (2, 3), (3, 4)])
+    f = SubgraphF(g, {1, 2, 3}, [(1, 2)])
+    with pytest.raises(GraphError, match="not in host"):
+        f.with_additions((), [(1, 3)])  # both endpoints present, no such host edge
+    with pytest.raises(GraphError, match="outside the vertex set"):
+        f.with_additions((), [(3, 4)])  # a host edge whose endpoint 4 is not added
+    with pytest.raises(GraphError, match="vertex 9 not in host"):
+        f.with_additions({9}, ())
 
 
 # -- augmentation ------------------------------------------------------------------
@@ -215,6 +299,23 @@ def test_greedy_outputs_spanning_trees(rng):
         assert tree_leaf_count(sorted(edges)) == rep.leaves
         if g.n >= 2:
             assert rep.leaves >= 2
+
+
+def rebuilt_from_scratch(self, new_vertices, new_edges):
+    """``with_additions`` as a full construction of the grown subgraph."""
+    return SubgraphF(
+        self.host,
+        self.vertices | set(new_vertices),
+        set(self.edges) | {edge_key(u, v) for u, v in new_edges},
+    )
+
+
+def test_incremental_growth_keeps_the_same_trees(rng, monkeypatch):
+    graphs = [random_connected(rng.randint(2, 12), rng.randint(0, 8), rng) for _ in range(40)]
+    graphs += [necklace_ring(r) for r in range(2, 6)] + [flowerbed(i) for i in (2, 3)]
+    grown = [greedy_spanning_tree(g) for g in graphs]
+    monkeypatch.setattr(SubgraphF, "with_additions", rebuilt_from_scratch)
+    assert [greedy_spanning_tree(g) for g in graphs] == grown
 
 
 def test_greedy_rejects_disconnected():
