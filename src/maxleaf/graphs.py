@@ -1,6 +1,6 @@
 """Mutable multigraph over integer vertex ids, the derived structures
 (degree-2 suppression, subgraphs) everything else builds on, and the shared
-primitives: component counting, leaf counting and bitmask reachability.
+primitives: component counting and leaf counting.
 
 Vertex ids are stable: deleting a vertex leaves a hole instead of renumbering,
 so recorded matches and reduction traces stay valid across mutations.
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 
 class GraphError(Exception):
@@ -263,22 +263,6 @@ def component_count(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -
     return count
 
 
-def reach_mask(adj: Sequence[int], start: int, within: int) -> int:
-    """Bits reachable from the ``start`` bits through vertices of ``within``,
-    where ``adj[i]`` is the neighbour mask of the vertex owning bit i. Walks
-    one breadth-first layer at a time."""
-    seen = frontier = start
-    while frontier:
-        reach = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            reach |= adj[bit.bit_length() - 1]
-        frontier = reach & within & ~seen
-        seen |= frontier
-    return seen
-
-
 # -- text format ---------------------------------------------------------------
 
 def parse_graph(data: str | bytes | IO) -> Graph:
@@ -394,7 +378,6 @@ class SuppressedIndex:
     adj: tuple[int, ...]  # neighbour mask per position, loops left out
     loops: int  # mask of the vertices carrying a suppressed cycle
     loop_count: int
-    heavy: tuple[int, ...]  # neighbour mask per position over edges with cost >= 1
     # non-loop edges sorted by (cost, id): (id, pair mask, pos u, pos v, cost)
     edges: tuple[tuple[int, int, int, int, int], ...]
 
@@ -416,7 +399,6 @@ class SuppressedGraph:
     def index(self) -> SuppressedIndex:
         pos = {v: i for i, v in enumerate(sorted(self.vertices))}
         adj = [0] * len(pos)
-        heavy = [0] * len(pos)
         loops = [e for e in self.sedges if e.is_loop]
         edges = []
         for eid, e in enumerate(self.sedges):
@@ -424,9 +406,6 @@ class SuppressedGraph:
                 a, b = pos[e.u], pos[e.v]
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-                if e.cost:
-                    heavy[a] |= 1 << b
-                    heavy[b] |= 1 << a
                 edges.append((eid, (1 << a) | (1 << b), a, b, e.cost))
         edges.sort(key=lambda edge: edge[4])  # stable: ties stay in id order
         return SuppressedIndex(
@@ -435,7 +414,6 @@ class SuppressedGraph:
             adj=tuple(adj),
             loops=sum({1 << pos[e.u] for e in loops}),
             loop_count=len(loops),
-            heavy=tuple(heavy),
             edges=tuple(edges),
         )
 

@@ -193,6 +193,16 @@ def _greedy_from(g: Graph, start: int) -> SubgraphF:
     return f
 
 
+def _best_from_every_start(g: Graph) -> SubgraphF:
+    """The potential-greedy tree with the most leaves over all start
+    vertices of a connected graph."""
+    trees = (_join_components(g, _greedy_from(g, start)) for start in sorted(g.vertices))
+    best = max(trees, key=lambda f: len(f.leaves))  # the first with the most leaves
+    if len(best.edges) != g.n - 1 or best.cc != 1:
+        raise GraphError("greedy construction failed to produce a spanning tree")
+    return best
+
+
 def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialReport]:
     """Best-effort many-leaf spanning tree of a connected graph.
 
@@ -215,24 +225,14 @@ def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialRepor
             for comp in connected_components(reduced):
                 if len(comp) < 2:
                     continue
-                sub = Graph(vertices=comp)
-                for u, v in reduced.edges():
-                    if u in comp and v in comp:
-                        sub.add_edge(u, v)
-                comp_edges, _ = greedy_spanning_tree(sub)
-                forest |= comp_edges
+                # rules match and vet within one component: this one is irreducible too
+                sub = Graph(comp, (e for e in reduced.edges() if e[0] in comp))
+                forest |= _best_from_every_start(sub).edges
             edges = reconstruct_chain(g, steps, forest)
             f = SubgraphF(g, g.vertices, edges)
             return set(f.edges), leaf_potential(g, f)
 
-    best: SubgraphF | None = None
-    for start in sorted(g.vertices):
-        f = _join_components(g, _greedy_from(g, start))
-        if best is None or len(f.leaves) > len(best.leaves):
-            best = f
-    assert best is not None
-    if len(best.edges) != g.n - 1 or best.cc != 1:
-        raise GraphError("greedy construction failed to produce a spanning tree")
+    best = _best_from_every_start(g)
     return set(best.edges), leaf_potential(g, best)
 
 

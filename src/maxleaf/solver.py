@@ -10,8 +10,10 @@ enumeration bound (``SolveStats.search_side``). The forced side goes level by
 level, visiting a set only when all its one-smaller subsets are feasible. The
 kept side enumerates the complements: connected dominating sets small enough
 for their forced set to reach k, with the same depth-first enumerator as the
-oracle. Each visited set is decided in polynomial time via a minimum-cost
-spanning tree, evaluated on the suppressed graph's bitmask index.
+oracle. Each visited set is decided, valued and built by one Kruskal pass
+over the suppressed edges in cost order (``_forced_tree``), which finds a
+minimum-cost spanning tree of the kept side or shows that none keeps the set
+forced.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from .graphs import (
     Graph,
     GraphError,
     SuppressedGraph,
-    SuppressedIndex,
     component_count,
     edge_key,
     graph_leaves,
     is_connected,
     n_ge3,
-    reach_mask,
     suppress,
     tree_leaf_count,
     vertices_ge3,
@@ -194,27 +194,24 @@ def forced_leaf_feasible(q: ForcedLeafQuery) -> bool:
     """Some spanning tree keeps every forced vertex a leaf: the rest must be
     a connected dominating set of the suppressed graph, no two forced
     vertices may be joined by an edge carrying internal vertices, and no
-    suppressed cycle may hang on a forced vertex."""
+    suppressed cycle may hang on a forced vertex. See _forced_tree."""
+    return _forced_tree(q) is not None
+
+
+def _forced_tree(q: ForcedLeafQuery) -> tuple[set[int], int] | None:
+    """The one evaluation of a forced set: a minimum-cost spanning tree of
+    the kept side plus the cheapest attachment of each forced vertex, ties
+    going to the lower edge id. Returns the chosen suppressed-edge ids and
+    the leaves donated by the other edges: min(i,2) between two kept
+    endpoints (loops give 2), min(i,1) when one endpoint is forced. Returns
+    None when the set is infeasible: every vertex forced, a loop or a costly
+    edge on the forced side, a disconnected kept side, or a forced vertex
+    with no kept neighbour."""
     if q.s.is_empty():
         raise GraphError("forced-leaf query needs a nonempty suppressed graph")
     ix, forced = q.s.index, q.mask
-    keep = ix.full & ~forced
-    if not keep or ix.loops & forced:
-        return False
-    for v in q.forced:
-        p = ix.pos[v]
-        if ix.heavy[p] & forced or not ix.adj[p] & keep:
-            return False  # a costly edge between forced vertices, or undominated
-    return reach_mask(ix.adj, keep & -keep, keep) == keep  # kept side connected
-
-
-def _forced_tree(ix: SuppressedIndex, forced: int) -> tuple[set[int], int]:
-    """The construction behind achievable_leaves for a feasible forced mask:
-    a minimum-cost spanning tree of the kept side plus the cheapest
-    attachment of each forced vertex, ties going to the lower edge id.
-    Returns the chosen suppressed-edge ids and the leaves donated by the
-    other edges: min(i,2) between two kept endpoints (loops give 2),
-    min(i,1) when one endpoint is forced."""
+    if forced == ix.full or ix.loops & forced:
+        return None
     parent = list(range(len(ix.adj)))
 
     def find(a: int) -> int:
@@ -246,6 +243,10 @@ def _forced_tree(ix: SuppressedIndex, forced: int) -> tuple[set[int], int]:
             else:
                 attached |= hit
                 tree.add(eid)
+        elif cost:
+            return None  # its inner vertices could hang off neither end
+    if joins_left or attached != forced:
+        return None
     return tree, gain
 
 
@@ -253,10 +254,8 @@ def achievable_leaves(q: ForcedLeafQuery) -> int | None:
     """Maximum of |forced| + (leaves outside the high-degree set) over the
     spanning trees keeping every forced vertex a leaf; None when infeasible.
     See _forced_tree for the construction."""
-    if not forced_leaf_feasible(q):
-        return None
-    _, gain = _forced_tree(q.s.index, q.mask)
-    return len(q.forced) + q.host_leaf_count + gain
+    built = _forced_tree(q)
+    return None if built is None else len(q.forced) + q.host_leaf_count + built[1]
 
 
 def _chain(start: int, seq) -> list[tuple[int, int]]:
@@ -266,10 +265,10 @@ def _chain(start: int, seq) -> list[tuple[int, int]]:
 def forced_leaf_tree(g: Graph, s: SuppressedGraph, forced: frozenset[int]) -> list[tuple[int, int]]:
     """Materialize a spanning tree of the suppressed graph's host realizing
     the achievable_leaves construction."""
-    q = ForcedLeafQuery(s, forced, len(graph_leaves(g)))
-    if not forced_leaf_feasible(q):
+    built = _forced_tree(ForcedLeafQuery(s, forced, len(graph_leaves(g))))
+    if built is None:
         raise GraphError("forced set is infeasible")
-    tree, _ = _forced_tree(s.index, q.mask)
+    tree, _ = built
     edges: list[tuple[int, int]] = []
     for eid, e in enumerate(s.sedges):
         path = e.path

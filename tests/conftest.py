@@ -198,6 +198,60 @@ def all_pairs_bilateral(g: Graph, rule_id: str) -> list[tuple]:
     return sorted(keys)
 
 
+# -- bitmask reachability and the forced-leaf feasibility reference ------------------
+
+
+def reach_mask(adj, start: int, within: int) -> int:
+    """Bits reachable from the ``start`` bits through vertices of ``within``,
+    where ``adj[i]`` is the neighbour mask of the vertex owning bit i. Walks
+    one breadth-first layer at a time."""
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= adj[bit.bit_length() - 1]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def reference_forced_feasible(s, forced) -> bool:
+    """Whether some spanning tree keeps every vertex of ``forced`` a leaf,
+    decided rule by rule on the suppressed graph ``s``: the kept side is
+    nonempty and connected, no forced vertex carries a loop, none is joined
+    to another forced vertex by an edge with inner vertices, and each has a
+    kept neighbour. The masks are built here from ``s.sedges``."""
+    from maxleaf.graphs import GraphError
+
+    if s.is_empty():
+        raise GraphError("forced-leaf query needs a nonempty suppressed graph")
+    pos = {v: i for i, v in enumerate(sorted(s.vertices))}
+    adj = [0] * len(pos)  # neighbour mask per position, loops left out
+    heavy = [0] * len(pos)  # the same over edges with inner vertices
+    loops = 0
+    for e in s.sedges:
+        if e.is_loop:
+            loops |= 1 << pos[e.u]
+            continue
+        a, b = pos[e.u], pos[e.v]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        if e.internal_count:
+            heavy[a] |= 1 << b
+            heavy[b] |= 1 << a
+    mask = sum(1 << pos[v] for v in forced)
+    keep = (1 << len(pos)) - 1 & ~mask
+    if not keep or loops & mask:
+        return False
+    for v in forced:
+        p = pos[v]
+        if heavy[p] & mask or not adj[p] & keep:
+            return False  # a costly edge between forced vertices, or undominated
+    return reach_mask(adj, keep & -keep, keep) == keep  # kept side connected
+
+
 # -- connected-dominating-set oracle by vertex combinations ------------------------
 
 
@@ -206,7 +260,7 @@ def combination_cds_oracle(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int
     combination by size upward from a degree lower bound, in lexicographic
     order, until the first connected dominating set. Same value and tree as
     ``exact_max_leaves``, at the cost of every combination below the hit."""
-    from maxleaf.graphs import GraphError, is_connected, reach_mask
+    from maxleaf.graphs import GraphError, is_connected
     from maxleaf.solver import CapacityError, _tree_from_internal_set
 
     if not is_connected(g):

@@ -17,7 +17,6 @@ from maxleaf.graphs import (
     edge_key,
     is_connected,
     parse_graph,
-    reach_mask,
     suppress,
     to_dot,
     write_graph,
@@ -220,20 +219,6 @@ def test_is_connected_against_components(seed):
     g = random_multigraph(rng.randint(1, 12), rng.randint(0, 18), rng)
     assert is_connected(g) == (len(naive_components(g)) == 1)
     assert is_connected(Graph())
-
-
-def test_reach_mask_against_components(rng):
-    for trial in range(150):
-        n = rng.randint(1, 14)
-        g = random_multigraph(n, rng.randint(0, 2 * n), rng)
-        order = sorted(g.vertices)
-        adj = [sum(1 << (w - 1) for w in g.neighbors(v) if w != v) for v in order]
-        inside = {v for v in order if rng.random() < 0.6} or {order[0]}
-        within = sum(1 << (v - 1) for v in inside)
-        start = min(inside)
-        sub = Graph(vertices=inside, edges=[(u, v) for u, v in g.edges() if {u, v} <= inside])
-        comp = next(c for c in connected_components(sub) if start in c)
-        assert reach_mask(adj, 1 << (start - 1), within) == sum(1 << (v - 1) for v in comp), trial
 
 
 # -- suppression ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf.graphs import Graph, GraphError, SubgraphF, edge_key, n_ge3
-from maxleaf.generators import flowerbed, g7, necklace_ring, q3
+from maxleaf import reductions
+from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
 from maxleaf.potential import (
     DeltaTriple,
     _join_components,
@@ -316,6 +317,23 @@ def test_incremental_growth_keeps_the_same_trees(rng, monkeypatch):
     grown = [greedy_spanning_tree(g) for g in graphs]
     monkeypatch.setattr(SubgraphF, "with_additions", rebuilt_from_scratch)
     assert [greedy_spanning_tree(g) for g in graphs] == grown
+
+
+def test_greedy_reduces_once(monkeypatch):
+    """The components of the reduced graph are irreducible, so the builder
+    solves them without reducing again."""
+    calls = []
+    reduce = reductions.reduce_to_irreducible
+
+    def counted(g):
+        reduced, steps = reduce(g)
+        calls.append(len(steps))
+        return reduced, steps
+
+    monkeypatch.setattr(reductions, "reduce_to_irreducible", counted)
+    edges, _ = greedy_spanning_tree(random_invariant_graph(12, 3, 0))
+    assert len(calls) == 1 and calls[0] > 0
+    assert verify_spanning_tree(random_invariant_graph(12, 3, 0), sorted(edges))
 
 
 def test_greedy_rejects_disconnected():

@@ -30,6 +30,7 @@ from conftest import (
     plant_diamond,
     random_connected,
     random_multigraph,
+    reference_forced_feasible,
     spanning_trees,
     tree_leaves,
 )
@@ -279,6 +280,62 @@ def test_achievable_invariant_under_tie_breaks(rng):
             assert achievable_leaves(ForcedLeafQuery(s2, frozenset(), hl)) == value
 
 
+def _feasibility_instances(rng):
+    """Suppressible graphs with degree-3 vertices: random connected ones
+    with n <= 11; random ones with cycles hung on some vertices, which
+    suppress to loops; and random ones with theta paths of 0, 1, 2 or 3
+    inner vertices between two vertices, which suppress to parallel edges of
+    cost 0, 1 and 2."""
+    for kind in ("random", "hanging", "theta"):
+        made = 0
+        while made < 40:
+            g = random_connected(rng.randint(3, 11 if kind == "random" else 7), rng.randint(0, 5), rng)
+            if kind == "hanging":
+                for v in rng.sample(sorted(g.vertices), rng.randint(1, 2)):
+                    base = max(g.vertices)
+                    ring = [v, *range(base + 1, base + rng.randint(3, 4))]
+                    for a, b in zip(ring, ring[1:] + ring[:1]):
+                        g.add_edge(a, b)
+            elif kind == "theta":
+                u, w = rng.sample(sorted(g.vertices), 2)
+                for inner in rng.sample(range(4), rng.randint(2, 3)):
+                    if inner == 0 and g.has_edge(u, w):
+                        continue
+                    base = max(g.vertices)
+                    run = [u, *range(base + 1, base + 1 + inner), w]
+                    for a, b in zip(run, run[1:]):
+                        g.add_edge(a, b)
+            if any(g.degree(v) >= 3 for v in g.vertices):
+                made += 1
+                yield kind, g
+
+
+def test_feasibility_matches_reference(rng):
+    """forced_leaf_feasible, achievable_leaves and forced_leaf_tree agree
+    with the rule-by-rule reference on every forced set of up to five
+    high-degree vertices."""
+    seen = {}
+    for kind, g in _feasibility_instances(rng):
+        s = suppress(g)
+        big = sorted(vertices_ge3(g))
+        for r in range(min(5, len(big)) + 1):
+            for combo in itertools.combinations(big, r):
+                forced = frozenset(combo)
+                want = reference_forced_feasible(s, forced)
+                q = ForcedLeafQuery(s, forced, 0)
+                case = (kind, sorted(g.edges()), combo)
+                assert forced_leaf_feasible(q) == want, case
+                assert (achievable_leaves(q) is not None) == want, case
+                try:
+                    forced_leaf_tree(g, s, forced)
+                    built = True
+                except GraphError:
+                    built = False
+                assert built == want, case
+                seen[kind, want] = seen.get((kind, want), 0) + 1
+    assert all(seen.get((kind, want), 0) >= 40 for kind in ("random", "hanging", "theta") for want in (True, False)), seen
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_feasibility_closed_under_subsets(seed):
@@ -317,12 +374,20 @@ def test_search_matches_exhaustive_reference(rng):
     assert searched >= 200 and pruned > 0
 
 
-def test_flowerbed3_no_threshold_is_fast():
-    v = fpt_decide(flowerbed(3), 15)
+# forced sets the search evaluates on flowerbed(i) at k = 4i + 3, one above
+# the optimum; a wrong feasibility answer changes these counts
+FLOWERBED_NO_VISITS = {2: 77, 3: 297, 4: 1_097, 5: 3_953}
+
+
+@pytest.mark.parametrize("i", sorted(FLOWERBED_NO_VISITS))
+def test_flowerbed_no_threshold_is_fast(i):
+    v = fpt_decide(flowerbed(i), 4 * i + 3)
     assert not v.is_yes
-    # the exhaustive enumeration visited 9,740,686 forced sets here
-    assert v.stats.subsets_enumerated + v.stats.subsets_pruned == 9_740_686
-    assert v.stats.subsets_enumerated < 1000
+    assert v.stats.search_side == "forced"
+    assert v.stats.subsets_enumerated == FLOWERBED_NO_VISITS[i]
+    if i == 3:
+        # the exhaustive enumeration visited 9,740,686 forced sets here
+        assert v.stats.subsets_enumerated + v.stats.subsets_pruned == 9_740_686
 
 
 def _search_instances(rng):
