@@ -6,7 +6,10 @@ family's predicted ceiling. The 7-vertex graph, the cube and the necklace
 rings are solved by the exact oracle, which enumerates connected vertex sets
 only; necklace_ring(7) (28 vertices) takes well under a second. Flowerbeds
 exceed the oracle's 30-vertex cap and are decided at their threshold by the
-decision procedure instead.
+decision procedure instead. Last, the paper's theorem is checked on seeded
+random invariant graphs (n = 16..30): the exact optimum must reach
+n>=3/3 + 4/3 at minimum degree 3 and n>=3/3 + 2 otherwise, where n>=3 counts
+the vertices of degree at least 3.
 
 Usage:
     python scripts/bounds_report.py [--max-ring K] [--max-bed I]
@@ -16,8 +19,8 @@ import argparse
 import time
 from fractions import Fraction
 
-from maxleaf.generators import flowerbed, g7, necklace_ring, q3
-from maxleaf.graphs import tree_leaf_count
+from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
+from maxleaf.graphs import n_ge3, tree_leaf_count
 from maxleaf.potential import greedy_spanning_tree
 from maxleaf.solver import exact_max_leaves, fpt_decide
 
@@ -49,6 +52,20 @@ def solve_threshold(name, g, expected):
     return yes and no
 
 
+def check_theorem(n, target, seed):
+    g = random_invariant_graph(n, target, seed)
+    min_degree = min(g.degree(v) for v in g.vertices)
+    bound = Fraction(n_ge3(g), 3) + (Fraction(4, 3) if min_degree >= 3 else 2)
+    best, _ = exact_max_leaves(g)
+    ok = best >= bound
+    name = f"random({n},{target},{seed})"
+    print(
+        f"{name:<18} n={g.n:<4} min-degree={min_degree} optimum={best:<3} "
+        f"bound={fmt(bound)}{'' if ok else ' VIOLATED'}"
+    )
+    return ok
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-ring", type=int, default=4)
@@ -64,6 +81,11 @@ def main():
     print("\n== flowerbeds (ceiling 4n/13 + 2) ==")
     for i in range(2, args.max_bed + 1):
         ok &= solve_threshold(f"flowerbed({i})", flowerbed(i), 4 * i + 2)
+    print("\n== the theorem on random invariant graphs ==")
+    for n in range(16, 31, 2):
+        for target in (2, 3):
+            for seed in (0, 1):
+                ok &= check_theorem(n, target, seed)
     print("\nall bounds confirmed" if ok else "\nBOUND MISMATCH — investigate")
     return 0 if ok else 1
 

@@ -41,7 +41,6 @@ from .reductions import (  # noqa: F401
     reduce_to_irreducible,
 )
 from .potential import (  # noqa: F401
-    DeltaTriple,
     PotentialReport,
     expand,
     greedy_spanning_tree,

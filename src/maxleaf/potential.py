@@ -6,10 +6,11 @@ All potential arithmetic is exact: values are half-integers stored as their
 doubled integer. The heuristic makes no bound promise; callers compare the
 achieved leaf count against the target ratio themselves.
 
-Every candidate move grows the current subgraph with
+Every function here takes the subgraph alone and reads its host from
+``f.host``. Every candidate move grows the current subgraph with
 ``SubgraphF.with_additions``, which costs the vertices the move touches, and
 the subgraph carries the counts the potential needs, so scoring a candidate
-against its own host does not walk the subgraph.
+does not walk the subgraph.
 """
 
 from __future__ import annotations
@@ -36,37 +37,11 @@ class PotentialReport:
         return Fraction(self.twice_value, 2)
 
 
-@dataclass(frozen=True)
-class DeltaTriple:
-    """Change triple (nongoober, leaves, dead leaves) and its worth."""
-
-    d_nongoob: int
-    d_leaves: int
-    d_dead: int
-
-    @property
-    def twice_value(self) -> int:
-        return 5 * self.d_leaves + self.d_dead - 2 * self.d_nongoob
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice_value, 2)
-
-
-def leaf_potential(g: Graph, f: SubgraphF) -> PotentialReport:
-    """2.5*leaves + 0.5*dead - nongoober - 6*components, exactly. Goober
-    status is judged against ``g``; against the subgraph's own host it is
-    the subgraph's cached count."""
-    leaves = len(f.leaves)
-    dead = len(f.dead_leaves)
-    nongoob = f.nongoob if g is f.host else sum(1 for v in f.vertices if not is_goober(g, v))
-    twice = 5 * leaves + dead - 2 * nongoob - 12 * f.cc
-    return PotentialReport(leaves, dead, nongoob, f.cc, twice)
-
-
-def delta_between(g: Graph, before: SubgraphF, after: SubgraphF) -> DeltaTriple:
-    pb, pa = leaf_potential(g, before), leaf_potential(g, after)
-    return DeltaTriple(pa.nongoob - pb.nongoob, pa.leaves - pb.leaves, pa.dead_leaves - pb.dead_leaves)
+def leaf_potential(f: SubgraphF) -> PotentialReport:
+    """2.5*leaves + 0.5*dead - nongoober - 6*components, exactly."""
+    leaves, dead = len(f.leaves), len(f.dead_leaves)
+    twice = 5 * leaves + dead - 2 * f.nongoob - 12 * f.cc
+    return PotentialReport(leaves, dead, f.nongoob, f.cc, twice)
 
 
 def expand(f: SubgraphF, v: int) -> SubgraphF:
@@ -91,22 +66,19 @@ def expand_many(f: SubgraphF, vs: list[int]) -> SubgraphF:
     return f
 
 
-def try_augment(g: Graph, f: SubgraphF) -> SubgraphF | None:
+def try_augment(f: SubgraphF) -> SubgraphF | None:
     """One conservative extension: attach an adjacent goober, expand a
     boundary vertex, or expand a short run out to a nearby high-degree
-    vertex. A move is returned only when it strictly grows the subgraph, adds
-    no component, and does not decrease the potential."""
+    vertex. Every move adds a vertex from outside the subgraph; one is
+    returned only when it adds no component and does not decrease the
+    potential."""
     if not f.vertices or f.is_spanning():
         return None
-    base = leaf_potential(g, f)
+    g = f.host
+    base = leaf_potential(f)
 
     def accept(candidate: SubgraphF) -> bool:
-        # candidates are grown from f, so equal sizes mean nothing was added
-        if len(candidate.vertices) == len(f.vertices) and len(candidate.edges) == len(f.edges):
-            return False
-        if candidate.cc > f.cc:
-            return False
-        return leaf_potential(g, candidate).twice_value >= base.twice_value
+        return candidate.cc <= f.cc and leaf_potential(candidate).twice_value >= base.twice_value
 
     boundary = sorted(f.boundary())
     # adjacent goober attachment
@@ -141,31 +113,36 @@ def try_augment(g: Graph, f: SubgraphF) -> SubgraphF | None:
     return None
 
 
-def _join_components(g: Graph, f: SubgraphF) -> SubgraphF:
-    """Connect the subgraph's components with host edges, preferring joins
-    that sacrifice the fewest leaves."""
-    while f.cc > 1:
-        comp = connected_components(Graph(f.vertices, f.edges))[0]  # holds min(f.vertices)
-        best = None
-        for u in sorted(comp):
-            for w in sorted(g.neighbors(u)):
-                if w in comp or w not in f.vertices:
-                    continue
-                loss = (1 if u in f.leaves else 0) + (1 if w in f.leaves else 0)
-                key = (loss, u, w)
-                if best is None or key < best:
-                    best = key
+def _join_components(f: SubgraphF) -> SubgraphF:
+    """Connect the subgraph's components with host edges, growing the one
+    that holds its least vertex and preferring joins that sacrifice the
+    fewest leaves."""
+    if f.cc < 2:
+        return f
+    g = f.host
+    parts = connected_components(Graph(f.vertices, f.edges))  # the first holds min(f.vertices)
+    part_of = {v: part for part in parts for v in part}
+    comp = set(parts[0])
+    for _ in parts[1:]:  # one join per further component
+        joins = (
+            ((u in f.leaves) + (w in f.leaves), u, w)
+            for u in comp
+            for w in g.neighbors(u)
+            if w in f.vertices and w not in comp
+        )
+        best = min(joins, default=None)
         if best is None:
             raise GraphError("subgraph components cannot be joined")
         _, u, w = best
         f = f.with_additions((), [(u, w)])
+        comp |= part_of[w]
     return f
 
 
 def _greedy_from(g: Graph, start: int) -> SubgraphF:
     f = expand(SubgraphF.empty(g), start)
     while not f.is_spanning():
-        nxt = try_augment(g, f)
+        nxt = try_augment(f)
         if nxt is not None:
             f = nxt
             continue
@@ -173,9 +150,7 @@ def _greedy_from(g: Graph, start: int) -> SubgraphF:
         # open a new component and pay for it in the score. The host is
         # connected, so the boundary is not empty, and every candidate's
         # expansion adds a vertex.
-        best = None
-        base = leaf_potential(g, f).twice_value
-        boundary = set(f.boundary())
+        boundary = f.boundary()
         candidates = set(boundary)
         for w in boundary:  # everything within two steps of the boundary
             for u in g.neighbors(w) - f.vertices:
@@ -183,20 +158,15 @@ def _greedy_from(g: Graph, start: int) -> SubgraphF:
                 candidates |= g.neighbors(u) - f.vertices
         outside = g.vertices - f.vertices
         candidates |= {v for v in outside if g.degree(v) >= 4}
-        for w in sorted(candidates):
-            cand = expand(f, w)
-            score = leaf_potential(g, cand).twice_value - base
-            key = (-score, w)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        f = best[1]
+        grown = ((w, expand(f, w)) for w in candidates)
+        f = min(grown, key=lambda wc: (-leaf_potential(wc[1]).twice_value, wc[0]))[1]
     return f
 
 
 def _best_from_every_start(g: Graph) -> SubgraphF:
     """The potential-greedy tree with the most leaves over all start
     vertices of a connected graph."""
-    trees = (_join_components(g, _greedy_from(g, start)) for start in sorted(g.vertices))
+    trees = (_join_components(_greedy_from(g, start)) for start in sorted(g.vertices))
     best = max(trees, key=lambda f: len(f.leaves))  # the first with the most leaves
     if len(best.edges) != g.n - 1 or best.cc != 1:
         raise GraphError("greedy construction failed to produce a spanning tree")
@@ -230,10 +200,10 @@ def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialRepor
                 forest |= _best_from_every_start(sub).edges
             edges = reconstruct_chain(g, steps, forest)
             f = SubgraphF(g, g.vertices, edges)
-            return set(f.edges), leaf_potential(g, f)
+            return set(f.edges), leaf_potential(f)
 
     best = _best_from_every_start(g)
-    return set(best.edges), leaf_potential(g, best)
+    return set(best.edges), leaf_potential(best)
 
 
 def heuristic_bound(g: Graph) -> Fraction:

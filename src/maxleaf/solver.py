@@ -262,10 +262,10 @@ def _chain(start: int, seq) -> list[tuple[int, int]]:
     return [edge_key(a, b) for a, b in zip((start, *seq), seq)]
 
 
-def forced_leaf_tree(g: Graph, s: SuppressedGraph, forced: frozenset[int]) -> list[tuple[int, int]]:
+def forced_leaf_tree(s: SuppressedGraph, forced: frozenset[int]) -> list[tuple[int, int]]:
     """Materialize a spanning tree of the suppressed graph's host realizing
     the achievable_leaves construction."""
-    built = _forced_tree(ForcedLeafQuery(s, forced, len(graph_leaves(g))))
+    built = _forced_tree(ForcedLeafQuery(s, forced, 0))
     if built is None:
         raise GraphError("forced set is infeasible")
     tree, _ = built
@@ -329,7 +329,7 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
         return Verdict("NO", None, stats)
     witness = None
     if want_witness:
-        witness = lift_witness(forced_leaf_tree(reduced, s, hit))
+        witness = lift_witness(forced_leaf_tree(s, hit))
     return Verdict("YES", witness, stats)
 
 
@@ -441,4 +441,4 @@ def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, in
     hit = _search(s, sorted(vertices_ge3(g)), k, len(graph_leaves(g)), stats)
     if hit is None:
         raise GraphError("shortcut promised a tree the instance cannot deliver")
-    return forced_leaf_tree(g, s, hit)
+    return forced_leaf_tree(s, hit)

@@ -9,9 +9,7 @@ from maxleaf.graphs import Graph, GraphError, SubgraphF, edge_key, n_ge3
 from maxleaf import reductions
 from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
 from maxleaf.potential import (
-    DeltaTriple,
     _join_components,
-    delta_between,
     expand,
     expand_many,
     greedy_spanning_tree,
@@ -21,7 +19,7 @@ from maxleaf.potential import (
 )
 from maxleaf.solver import tree_leaf_count, verify_spanning_tree
 
-from conftest import random_connected, random_loopless_multigraph
+from conftest import random_connected, random_loopless_multigraph, reference_join_components
 
 
 def path(n):
@@ -33,14 +31,14 @@ def path(n):
 
 def test_empty_subgraph_has_zero_potential():
     g = q3()
-    rep = leaf_potential(g, SubgraphF.empty(g))
+    rep = leaf_potential(SubgraphF.empty(g))
     assert rep.twice_value == 0 and rep.cc == 0
 
 
 def test_path4_spanning_potential_is_zero():
     g = path(4)
     f = SubgraphF(g, g.vertices, list(g.edges()))
-    rep = leaf_potential(g, f)
+    rep = leaf_potential(f)
     assert (rep.leaves, rep.dead_leaves, rep.nongoob, rep.cc) == (2, 2, 0, 1)
     assert rep.twice_value == 0
     assert rep.value == 0
@@ -50,16 +48,9 @@ def test_spanning_forest_formula():
     # spanning subgraph: potential reduces to 3*leaves - high-degree count - 6cc
     g = q3()
     f = SubgraphF(g, g.vertices, [(1, 2), (1, 3), (1, 5), (2, 4), (3, 7), (5, 6), (4, 8)])
-    rep = leaf_potential(g, f)
+    rep = leaf_potential(f)
     assert rep.dead_leaves == rep.leaves
     assert rep.twice_value == 2 * (3 * rep.leaves - n_ge3(g) - 6 * rep.cc)
-
-
-def test_delta_triple_arithmetic():
-    d = DeltaTriple(6, 5, 0)
-    assert d.twice_value == 13
-    assert d.value == Fraction(13, 2)
-    assert DeltaTriple(1, 1, 0).twice_value == 3
 
 
 def test_potential_is_exact_half_integers(rng):
@@ -67,7 +58,7 @@ def test_potential_is_exact_half_integers(rng):
         g = random_connected(rng.randint(3, 9), rng.randint(0, 5), rng)
         vs = {v for v in g.vertices if rng.random() < 0.6}
         es = {e for e in set(g.edges()) if e[0] in vs and e[1] in vs and rng.random() < 0.6}
-        rep = leaf_potential(g, SubgraphF(g, vs, es))
+        rep = leaf_potential(SubgraphF(g, vs, es))
         assert isinstance(rep.twice_value, int)
         assert rep.value == Fraction(rep.twice_value, 2)
         assert rep.dead_leaves <= rep.leaves
@@ -94,9 +85,9 @@ def test_expand_degree5_hub_from_empty():
     f0 = SubgraphF.empty(g)
     f1 = expand(f0, 1)
     assert f1.cc == 1  # new component
-    d = delta_between(g, f0, f1)
-    assert (d.d_nongoob, d.d_leaves, d.d_dead) == (6, 5, 0)
-    assert d.twice_value == 13  # 6.5, which beats the new-component charge of 6
+    p0, p1 = leaf_potential(f0), leaf_potential(f1)
+    assert (p1.nongoob - p0.nongoob, p1.leaves - p0.leaves, p1.dead_leaves - p0.dead_leaves) == (6, 5, 0)
+    assert p1.twice_value - p0.twice_value == 13 - 12  # 6.5 beats the new-component charge of 6
 
 
 def test_expand_non_leaf_boundary_is_free():
@@ -106,10 +97,10 @@ def test_expand_non_leaf_boundary_is_free():
     f = SubgraphF(g, {1, 2, 3}, [(1, 2), (2, 3)])
     assert 2 in f.boundary() and 2 not in f.leaves
     f2 = expand(f, 2)
-    d = delta_between(g, f, f2)
+    p, p2 = leaf_potential(f), leaf_potential(f2)
     assert f2.cc == f.cc
-    assert d.d_leaves == 1 and 9 in f2.leaves
-    assert d.twice_value >= 0
+    assert p2.leaves - p.leaves == 1 and 9 in f2.leaves
+    assert p2.twice_value >= p.twice_value
 
 
 def test_expand_inside_vertex_is_identity():
@@ -122,13 +113,14 @@ def test_expand_inside_vertex_is_identity():
 
 def assert_matches_scratch(f: SubgraphF) -> None:
     """The caches of a grown subgraph equal those of the same subgraph built
-    from scratch, and its potential report equals one summed over a copy of
-    the host (which cannot use the cached non-goober count)."""
+    from scratch, its non-goober count equals a recount of the host degrees,
+    and so do the potential reports of the two."""
     fresh = SubgraphF(f.host, f.vertices, f.edges)
     assert f.leaves == fresh.leaves
     assert f.dead_leaves == fresh.dead_leaves
     assert f.cc == fresh.cc
-    assert leaf_potential(f.host, f) == leaf_potential(f.host, fresh) == leaf_potential(f.host.copy(), f)
+    assert f.nongoob == fresh.nongoob == sum(1 for v in f.vertices if f.host.degree(v) > 2)
+    assert leaf_potential(f) == leaf_potential(fresh)
 
 
 def test_expand_deltas_match_recomputation(rng):
@@ -181,7 +173,7 @@ def random_growth(g: Graph, rng: random.Random) -> SubgraphF:
         elif move == 1:
             f = expand_many(f, rng.sample(order, min(3, len(order))))
         elif move == 2 and f.vertices and not f.is_spanning():
-            f = try_augment(g, f) or f  # goober attachment comes first
+            f = try_augment(f) or f  # goober attachment comes first
         else:
             vs = f.vertices | {v for v in order if rng.random() < 0.3}
             es = [e for e in set(g.edges()) if e[0] in vs and e[1] in vs and rng.random() < 0.4]
@@ -197,8 +189,35 @@ def test_incremental_subgraphs_match_scratch(rng, checked_growth):
         else:
             g = random_connected(n, rng.randint(0, 2 * n), rng)
         f = random_growth(g, rng)
-        _join_components(g, f.with_additions(g.vertices - f.vertices, ()))
+        _join_components(f.with_additions(g.vertices - f.vertices, ()))
     assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] > 100
+
+
+def test_join_matches_rebuild_per_join(rng):
+    """The join lists the components once per call; it adds the same edges
+    as the reference that rebuilds them after every join, or fails alike
+    when components meet only through vertices outside the subgraph."""
+    outcomes = {"joined": 0, "failed": 0}
+    for trial in range(400):
+        n = rng.randint(6, 14)
+        if trial % 2:
+            g = random_loopless_multigraph(n, rng.randint(0, n), rng)
+        else:
+            g = random_connected(n, rng.randint(0, n), rng)
+        f = random_growth(g, rng)
+        if f.cc < 3:
+            continue
+        for sub in (f, f.with_additions(g.vertices - f.vertices, ())):
+            try:
+                want = reference_join_components(sub).edges
+            except GraphError as err:
+                with pytest.raises(GraphError, match=str(err)):
+                    _join_components(sub)
+                outcomes["failed"] += 1
+                continue
+            assert _join_components(sub).edges == want, (sorted(g.edges()), sorted(sub.edges))
+            outcomes["joined"] += 1
+    assert outcomes["joined"] >= 200 and outcomes["failed"] >= 20, outcomes
 
 
 def test_greedy_growths_match_scratch(rng, checked_growth):
@@ -227,16 +246,16 @@ def test_with_additions_rejects_what_the_host_lacks():
 def test_goober_attach_fires():
     g = path(5)
     f = expand(SubgraphF.empty(g), 3)
-    f2 = try_augment(g, f)
+    f2 = try_augment(f)
     assert f2 is not None
-    assert leaf_potential(g, f2).twice_value >= leaf_potential(g, f).twice_value
+    assert leaf_potential(f2).twice_value >= leaf_potential(f).twice_value
     assert f2.cc == f.cc
 
 
 def test_two_outside_neighbors_fires():
     g = hub_with_degree(3)
     f = expand(SubgraphF.empty(g), 1)
-    f2 = try_augment(g, f)
+    f2 = try_augment(f)
     assert f2 is not None and f2.vertices > f.vertices
 
 
@@ -253,7 +272,7 @@ def test_augment_none_when_nothing_applies():
     assert all(g.degree(v) <= 3 for v in g.vertices)
     f = SubgraphF(g, {1, 2}, [(1, 2)])
     assert f.boundary() == {1, 2} and f.leaves == frozenset({1, 2})
-    assert try_augment(g, f) is None
+    assert try_augment(f) is None
 
 
 def test_augment_contract_on_fuzz(rng):
@@ -261,12 +280,12 @@ def test_augment_contract_on_fuzz(rng):
         g = random_connected(rng.randint(4, 10), rng.randint(0, 5), rng)
         f = expand(SubgraphF.empty(g), rng.choice(sorted(g.vertices)))
         for _ in range(4):
-            nxt = try_augment(g, f)
+            nxt = try_augment(f)
             if nxt is None:
                 break
             assert nxt.vertices >= f.vertices and (nxt.vertices, nxt.edges) != (f.vertices, f.edges)
             assert nxt.cc <= f.cc
-            assert leaf_potential(g, nxt).twice_value >= leaf_potential(g, f).twice_value
+            assert leaf_potential(nxt).twice_value >= leaf_potential(f).twice_value
             f = nxt
 
 
@@ -352,7 +371,7 @@ def test_accepted_extensions_never_lose_potential(seed):
     rng = random.Random(seed)
     g = random_connected(rng.randint(3, 9), rng.randint(0, 4), rng)
     f = expand(SubgraphF.empty(g), min(g.vertices))
-    nxt = try_augment(g, f)
+    nxt = try_augment(f)
     if nxt is not None:
         assert f.vertices < nxt.vertices or f.edges < nxt.edges
-        assert leaf_potential(g, nxt).twice_value >= leaf_potential(g, f).twice_value
+        assert leaf_potential(nxt).twice_value >= leaf_potential(f).twice_value

@@ -227,7 +227,7 @@ def test_forced_tree_realizes_value(rng):
                 value = achievable_leaves(q)
                 if value is None:
                     continue
-                tree = forced_leaf_tree(g, s, frozenset(combo))
+                tree = forced_leaf_tree(s, frozenset(combo))
                 assert verify_spanning_tree(g, tree)
                 leaves = tree_leaves(tree)
                 assert set(combo) <= leaves
@@ -327,7 +327,7 @@ def test_feasibility_matches_reference(rng):
                 assert forced_leaf_feasible(q) == want, case
                 assert (achievable_leaves(q) is not None) == want, case
                 try:
-                    forced_leaf_tree(g, s, forced)
+                    forced_leaf_tree(s, forced)
                     built = True
                 except GraphError:
                     built = False
@@ -430,7 +430,7 @@ def test_each_side_matches_exhaustive_reference(rng):
                 if hit is None:
                     continue
                 assert achievable_leaves(ForcedLeafQuery(s, hit, hl)) >= k
-                tree = forced_leaf_tree(g, s, hit)
+                tree = forced_leaf_tree(s, hit)
                 assert verify_spanning_tree(g, tree) and tree_leaf_count(tree) >= k, (sorted(g.edges()), k, side)
     assert min(outcomes.values()) >= 150, outcomes
 
