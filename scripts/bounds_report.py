@@ -9,7 +9,10 @@ exceed the oracle's 30-vertex cap and are decided at their threshold by the
 decision procedure instead. Last, the paper's theorem is checked on seeded
 random invariant graphs (n = 16..30): the exact optimum must reach
 n>=3/3 + 4/3 at minimum degree 3 and n>=3/3 + 2 otherwise, where n>=3 counts
-the vertices of degree at least 3.
+the vertices of degree at least 3. On every graph the script builds, the
+leaf-expansion tree (solver.expansion_tree) is printed with its gap to the
+optimum and must reach the Kleitman-West bound n/4 + 2 at minimum degree 3.
+Exits 1 on a mismatch or a violation.
 
 Usage:
     python scripts/bounds_report.py [--max-ring K] [--max-bed I]
@@ -22,48 +25,59 @@ from fractions import Fraction
 from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
 from maxleaf.graphs import n_ge3, tree_leaf_count
 from maxleaf.potential import greedy_spanning_tree
-from maxleaf.solver import exact_max_leaves, fpt_decide
+from maxleaf.solver import exact_max_leaves, expansion_tree, fpt_decide
 
 
 def fmt(frac: Fraction) -> str:
     return str(frac) if frac.denominator != 1 else str(frac.numerator)
 
 
+def check_expansion(g, optimum):
+    """The expansion tree's leaves and gap to the optimum, as a report
+    fragment, and whether it reaches n/4 + 2 where the minimum degree is 3."""
+    leaves = tree_leaf_count(expansion_tree(g))
+    ok = g.min_degree() < 3 or 4 * leaves >= g.n + 8
+    return f"expansion={leaves:<3} gap={optimum - leaves}{'' if ok else ' BELOW n/4+2'}", ok
+
+
 def solve_exact(name, g, expected):
     t0 = time.time()
     best, _ = exact_max_leaves(g)
     greedy, _ = greedy_spanning_tree(g)
+    probe, probe_ok = check_expansion(g, best)
     print(
         f"{name:<18} n={g.n:<4} optimum={best:<3} expected={expected:<3} "
-        f"greedy={tree_leaf_count(greedy):<3} ({time.time()-t0:.2f}s)"
+        f"greedy={tree_leaf_count(greedy):<3} {probe} ({time.time()-t0:.2f}s)"
     )
-    return best == expected
+    return best == expected and probe_ok
 
 
 def solve_threshold(name, g, expected):
     t0 = time.time()
     yes = fpt_decide(g, expected).is_yes
     no = not fpt_decide(g, expected + 1).is_yes
+    probe, probe_ok = check_expansion(g, expected)
     print(
         f"{name:<18} n={g.n:<4} optimum={expected if yes and no else '?':<3} "
         f"k={expected}:{'YES' if yes else 'NO'} k={expected+1}:{'NO' if no else 'YES'} "
-        f"({time.time()-t0:.1f}s)"
+        f"{probe} ({time.time()-t0:.1f}s)"
     )
-    return yes and no
+    return yes and no and probe_ok
 
 
 def check_theorem(n, target, seed):
     g = random_invariant_graph(n, target, seed)
-    min_degree = min(g.degree(v) for v in g.vertices)
+    min_degree = g.min_degree()
     bound = Fraction(n_ge3(g), 3) + (Fraction(4, 3) if min_degree >= 3 else 2)
     best, _ = exact_max_leaves(g)
     ok = best >= bound
+    probe, probe_ok = check_expansion(g, best)
     name = f"random({n},{target},{seed})"
     print(
         f"{name:<18} n={g.n:<4} min-degree={min_degree} optimum={best:<3} "
-        f"bound={fmt(bound)}{'' if ok else ' VIOLATED'}"
+        f"bound={fmt(bound)}{'' if ok else ' VIOLATED'} {probe}"
     )
-    return ok
+    return ok and probe_ok
 
 
 def main():

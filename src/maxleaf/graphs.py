@@ -200,14 +200,18 @@ def graph_leaves(g: Graph) -> set[int]:
     return {v for v in g.vertices if g.degree(v) == 1}
 
 
-def tree_leaf_count(edges: Iterable[tuple[int, int]]) -> int:
+def tree_leaves(edges: Iterable[tuple[int, int]]) -> set[int]:
     """Vertices meeting exactly one of the edges: the leaves of a tree or
     forest given by its edge list."""
     deg: Counter[int] = Counter()
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    return sum(1 for d in deg.values() if d == 1)
+    return {v for v, d in deg.items() if d == 1}
+
+
+def tree_leaf_count(edges: Iterable[tuple[int, int]]) -> int:
+    return len(tree_leaves(edges))
 
 
 # -- connectivity -------------------------------------------------------------

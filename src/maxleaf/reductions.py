@@ -9,12 +9,16 @@ and on invariant-satisfying inputs every rule preserves the invariant. Rule
 checks run once: ``admissible`` and ``apply_rule`` rematch a caller's match
 and test the graph's invariant, the reduction loop trusts its own fresh
 matches on invariant graphs, and lifting reads the step record (its removed
-edges and touched vertices) instead of rescanning the graph.
+edges and touched vertices) instead of rescanning the graph. Lifting tests
+each candidate completion on the replaced region only: the kept forest is
+unioned once per step, and a candidate is read off the roots and degrees
+of its extra edges' endpoints.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .graphs import (
@@ -639,19 +643,47 @@ def _lift(
     pool_edges = sorted({edge_key(u, v) for u, v in step.removed_edges} - kept)
     need = (g_before.n - cc_pre) - len(kept)
 
-    # every candidate has n - cc_pre distinct edges of the pre-graph, so it
-    # spans the pre-graph exactly when it leaves cc_pre components
-    best: set[tuple[int, int]] | None = None
+    # every candidate, the kept forest plus ``need`` pool edges, has
+    # n - cc_pre distinct edges of the pre-graph, so it spans the pre-graph
+    # exactly when it is acyclic: when its extra edges join distinct trees
+    # of the kept forest and close no cycle among them. Only their endpoints
+    # change degree, so each candidate costs O(need), not O(n)
+    parent = {v: v for e in (*kept, *pool_edges) for v in e}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    degree: Counter[int] = Counter()
+    for u, v in kept:
+        degree[u] += 1
+        degree[v] += 1
+        parent[find(u)] = find(v)
+    kept_leaves = sum(1 for d in degree.values() if d == 1)
+    root = {v: find(v) for e in pool_edges for v in e}
+
+    best: tuple[tuple[int, int], ...] | None = None
     best_leaves = -1
-    vertices = g_before.vertices
     for extra in itertools.combinations(pool_edges, need):
-        cand = kept | set(extra)
-        if component_count(vertices, cand) != cc_pre:
-            continue
-        leaves = tree_leaf_count(cand)
-        if leaves > best_leaves:
-            best_leaves = leaves
-            best = cand
+        joined: dict[int, int] = {}  # union-find over the roots the extra edges meet
+        for u, v in extra:
+            a, b = root[u], root[v]
+            while a in joined:
+                a = joined[a]
+            while b in joined:
+                b = joined[b]
+            if a == b:
+                break
+            joined[a] = b
+        else:
+            leaves = kept_leaves
+            for v, more in Counter(v for e in extra for v in e).items():
+                leaves += (degree[v] + more == 1) - (degree[v] == 1)
+            if leaves > best_leaves:
+                best_leaves = leaves
+                best = extra
     if best is None:
         raise ReconstructionError("no completion spans the original graph")
 
@@ -673,7 +705,7 @@ def _lift(
             slack = 2 if made_goober else 0
         if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
             raise ReconstructionError("lift misses the reconstruction bound")
-    return best
+    return kept | set(best)
 
 
 def reconstruct_chain(

@@ -4,16 +4,21 @@ The oracle works through the complement: for n >= 3 the internal vertices of
 a spanning tree form a connected dominating set, so the maximum leaf count is
 n minus the smallest one, sought depth-first among connected vertex sets
 only. The decision procedure preprocesses with the two-terminal rules, applies
-the counting shortcuts, and then searches the forced-leaf sets over the
-suppressed graph from one of two sides, whichever has the smaller
-enumeration bound (``SolveStats.search_side``). The forced side goes level by
-level, visiting a set only when all its one-smaller subsets are feasible. The
-kept side enumerates the complements: connected dominating sets small enough
-for their forced set to reach k, with the same depth-first enumerator as the
-oracle. Each visited set is decided, valued and built by one Kruskal pass
-over the suppressed edges in cost order (``_forced_tree``), which finds a
-minimum-cost spanning tree of the kept side or shows that none keeps the set
-forced.
+the counting shortcuts, refutes k above the degree ceiling (no spanning tree
+has more than n - ceil((n - 2)/(max degree - 1)) leaves), and then searches
+the forced-leaf sets over the suppressed graph from one of two sides,
+whichever has the smaller enumeration bound (``SolveStats.search_side``).
+The forced side first builds a Kleitman–West leaf-expansion tree in O(m)
+(``expansion_tree``); when it has k leaves, its leaves of degree 3 or more
+are the forced set and nothing is enumerated. Otherwise the forced side goes
+level by level, visiting a set only when all its one-smaller subsets are
+feasible. The kept side enumerates the complements: connected dominating
+sets small enough for their forced set to reach k, with the same
+depth-first enumerator as the oracle. Each visited set is decided, valued
+and built by one Kruskal pass over the suppressed edges in cost order
+(``_forced_tree``), which finds a minimum-cost spanning tree of the kept
+side or shows that none keeps the set forced. The counting shortcuts' witness
+is the expansion tree too, when it has k leaves.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .graphs import (
     n_ge3,
     suppress,
     tree_leaf_count,
+    tree_leaves,
     vertices_ge3,
 )
 from .reductions import fpt_preprocess, reconstruct_chain
@@ -65,6 +71,7 @@ class SolveStats:
     reductions_applied: int = 0
     k_after_preprocess: int = 0
     search_side: str | None = None  # "forced" or "kept"; None when no search ran
+    probe_leaves: int | None = None  # leaves of the expansion tree; None when none was built
 
 
 @dataclass
@@ -109,7 +116,7 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
     spread = _spread(adj)
     # sizes stop by n - 2, as a spanning tree's internal vertices are a
     # connected dominating set
-    for size in itertools.count(max(1, -(-(g.n - 2) // spread))):
+    for size in itertools.count(_fewest_internal(g.n, spread)):
         for root in range(g.n - size + 1):  # smallest member: its hits precede larger roots'
             best = 0
             for members in _connected_sets(adj, spread, 1 << root, size, (1 << root) - 1):
@@ -124,6 +131,14 @@ def _spread(adj) -> int:
     """Most vertices that a vertex joining a connected set can newly
     dominate: it is dominated already and has a neighbour in the set."""
     return max(1, max(a.bit_count() for a in adj) - 1)
+
+
+def _fewest_internal(n: int, spread: int) -> int:
+    """Fewest internal vertices of a spanning tree on n >= 2 vertices when no
+    vertex has more than spread + 1 neighbours: a tree with i internal
+    vertices has at most i * spread + 2 vertices. So no spanning tree has
+    more than n minus this many leaves."""
+    return -(-(n - 2) // spread)
 
 
 def _connected_sets(adj, spread: int, root: int, size: int, below: int = 0, must: int = 0):
@@ -159,8 +174,7 @@ def _connected_sets(adj, spread: int, root: int, size: int, below: int = 0, must
 def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int]]:
     """Spanning tree whose non-leaves lie in the given connected dominating
     set: the breadth-first tree of the set from its smallest vertex, sorted
-    neighbours first, plus one pendant edge per outsider. With every vertex
-    internal it is the graph's breadth-first spanning tree."""
+    neighbours first, plus one pendant edge per outsider."""
     order = sorted(internal)
     tree: list[tuple[int, int]] = []
     seen = {order[0]}
@@ -185,6 +199,85 @@ def verify_spanning_tree(g: Graph, edges: list[tuple[int, int]]) -> bool:
         and all(g.has_edge(u, v) for u, v in edges)
         and component_count(g.vertices, edges) == 1
     )
+
+
+# -- leaf-expansion tree -----------------------------------------------------------
+
+
+def expansion_tree(g: Graph) -> list[tuple[int, int]]:
+    """Spanning tree with many leaves by Kleitman–West leaf expansion, in
+    O(m) after sorting the neighbour lists; on a graph of minimum degree 3
+    it has at least n/4 + 2 leaves (Kleitman & West, "Spanning trees with
+    many leaves", SIAM J. Discrete Math. 1991).
+
+    The tree starts as a vertex of largest degree, the lowest id on ties,
+    expanded. Expanding a leaf adds every neighbour it has outside the tree
+    as a new leaf. Each step expands, in this order of preference: a leaf
+    with at least 2 outside neighbours; a leaf whose one outside neighbour
+    has at least 2 more, and then that neighbour; any leaf with an outside
+    neighbour. An expanded vertex keeps no outside neighbour, so an outside
+    vertex is only ever attached to a leaf. Degrees count distinct
+    neighbours, so parallel edges and loops change nothing.
+
+    The leaves wait in three stacks, a bucket queue by outside degree:
+    ``wide`` (2 or more), ``narrow`` (1), and ``rest`` (1, whose neighbour
+    has fewer than 2 more). Outside degrees only fall, so an entry is
+    rechecked when taken and dropped for good when stale, and each vertex
+    enters each stack at most once. Raises GraphError on a disconnected
+    graph."""
+    nbrs: dict[int, list[int]] = {v: [] for v in sorted(g.vertices)}
+    for u, w in g.simple_edges():  # ascending, so every list comes out sorted
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    if not nbrs:
+        return []
+    out = {v: len(ws) for v, ws in nbrs.items()}  # neighbours outside the tree
+    start = max(nbrs, key=out.__getitem__)  # the first maximum: the lowest id
+    in_tree, leaf = {start}, set()
+    edges: list[tuple[int, int]] = []
+    wide: list[int] = []
+    narrow: list[int] = []
+    rest: list[int] = []
+
+    def expand(x: int) -> None:
+        leaf.discard(x)
+        fresh = [w for w in nbrs[x] if w not in in_tree]
+        in_tree.update(fresh)
+        for w in fresh:
+            edges.append(edge_key(x, w))
+            for z in nbrs[w]:
+                out[z] -= 1
+                if out[z] == 1 and z in leaf:
+                    narrow.append(z)
+        for w in fresh:
+            leaf.add(w)
+            if out[w]:
+                (wide if out[w] >= 2 else narrow).append(w)
+
+    for z in nbrs[start]:
+        out[z] -= 1
+    expand(start)
+    while len(edges) < len(nbrs) - 1:
+        if wide:
+            x = wide.pop()
+            if x in leaf and out[x] >= 2:
+                expand(x)
+        elif narrow:
+            x = narrow.pop()
+            if x in leaf and out[x] == 1:
+                y = next(w for w in nbrs[x] if w not in in_tree)
+                if out[y] >= 2:
+                    expand(x)
+                    expand(y)
+                else:
+                    rest.append(x)
+        elif rest:
+            x = rest.pop()
+            if x in leaf and out[x]:
+                expand(x)
+        else:
+            raise GraphError("expansion tree needs a connected graph")
+    return sorted(edges)
 
 
 # -- forced-leaf subroutine --------------------------------------------------------
@@ -322,9 +415,12 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
 
     if n3 == 0:
         return Verdict("NO", None, stats)  # path or cycle, k2 > 2
+    top_degree = max(reduced.degree(v) for v in reduced.vertices)
+    if k2 > reduced.n - _fewest_internal(reduced.n, top_degree - 1):
+        return Verdict("NO", None, stats)  # the degree ceiling; parallel edges only raise it
 
     s = suppress(reduced)
-    hit = _search(s, sorted(vertices_ge3(reduced)), k2, len(host_leaves), stats)
+    hit = _search(reduced, s, k2, stats)
     if hit is None:
         return Verdict("NO", None, stats)
     witness = None
@@ -333,10 +429,11 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
     return Verdict("YES", witness, stats)
 
 
-def _search(s, big, k, host_leaf_count, stats, side=None) -> frozenset[int] | None:
-    """A forced set over ``big`` whose achievable value reaches k, or None,
-    sought from ``side``, by default the side with the smaller enumeration
-    bound; records the side in ``stats.search_side``.
+def _search(g, s, k, stats, side=None) -> frozenset[int] | None:
+    """A forced set over ``big``, the vertices of degree 3 or more in g, whose
+    achievable value on ``s = suppress(g)`` reaches k, or None, sought from
+    ``side``, by default the side with the smaller enumeration bound;
+    records the side in ``stats.search_side``.
 
     A forced set F is worth |F| + host leaves + gain, and the gain is at
     most 2 per loop plus the cost of every suppressed edge, so F reaches k
@@ -344,7 +441,17 @@ def _search(s, big, k, host_leaf_count, stats, side=None) -> frozenset[int] | No
     outside ``big`` and those carrying a loop are never forced, so they lie
     in every kept set. The forced side visits at most the subsets of
     ``big`` of size up to k; the kept side adds at most ``top_kept`` minus
-    that many of the other vertices. Ties go to the forced side."""
+    that many of the other vertices. Ties go to the forced side.
+
+    The forced side first builds the expansion tree of g. With k leaves or
+    more, its leaves of degree 3 or more are a forced set that reaches k,
+    since the tree keeps them leaves: no set is enumerated. The kept side
+    never builds it. Most NO instances land there (every one of the
+    decide-no benchmark), where the tree cannot help and would cost about
+    30 µs of a 0.2 ms operation; on a YES that side stops at its first
+    small enough connected dominating set anyway."""
+    big = sorted(vertices_ge3(g))
+    host_leaf_count = len(graph_leaves(g))
     ix = s.index
     must = ix.full & ~ix.mask(big) | ix.loops
     gain_cap = 2 * ix.loop_count + sum(cost for *_, cost in ix.edges)
@@ -357,6 +464,11 @@ def _search(s, big, k, host_leaf_count, stats, side=None) -> frozenset[int] | No
     stats.search_side = side
     if side == "kept":
         return _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must)
+    probe = expansion_tree(g)
+    leaves = tree_leaves(probe)
+    stats.probe_leaves = len(leaves)
+    if len(leaves) >= k:
+        return frozenset(leaves.intersection(big))
     return _search_forced_sets(s, big, k, host_leaf_count, stats)
 
 
@@ -370,7 +482,7 @@ def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must) -> frozenset
     ix = s.index
     order = sorted(s.vertices)
     spread = _spread(ix.adj)
-    smallest = max(1, must.bit_count(), -(-(len(order) - 2) // spread))  # as in exact_max_leaves
+    smallest = max(1, must.bit_count(), _fewest_internal(len(order), spread))
     for size in range(smallest, min(top_kept, len(order)) + 1):
         roots = (must & -must,) if must else (1 << p for p in range(len(order) - size + 1))
         for root in roots:
@@ -422,23 +534,26 @@ def _search_forced_sets(s, big, k, host_leaf_count, stats) -> frozenset[int] | N
 
 
 def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, int]]:
-    """Witness tree for the counting shortcuts. Degree-1 vertices are leaves
-    of every spanning tree, so a search tree usually suffices; the greedy
-    builder covers the ratio shortcut, and the forced-set search, counted in
-    ``stats``, is the guaranteed fallback."""
+    """Witness tree for the counting shortcuts: the expansion tree, else the
+    greedy builder's tree, else the forced-set search, counted in
+    ``stats``. Degree-1 vertices are leaves of every spanning tree, and
+    every spanning tree of two or more vertices has 2 leaves, so only the
+    ratio shortcut (k >= 3 at 3k or more degree-3 vertices) can get past
+    the expansion tree."""
     from .potential import greedy_spanning_tree
 
+    edges = expansion_tree(g)
+    stats.probe_leaves = tree_leaf_count(edges)
+    if stats.probe_leaves >= k:
+        return edges
     try:
-        edges, _ = greedy_spanning_tree(g)
-        edges = sorted(edges)
+        edges = sorted(greedy_spanning_tree(g)[0])
     except GraphError:
-        edges = _tree_from_internal_set(g, g.vertices)
+        pass  # the expansion tree stays
     if tree_leaf_count(edges) >= k:
         return edges
-    if not any(g.degree(v) >= 3 for v in g.vertices):
-        return edges  # path or cycle: the shortcut fired on k <= 2
     s = suppress(g)
-    hit = _search(s, sorted(vertices_ge3(g)), k, len(graph_leaves(g)), stats)
+    hit = _search(g, s, k, stats)
     if hit is None:
         raise GraphError("shortcut promised a tree the instance cannot deliver")
     return forced_leaf_tree(s, hit)

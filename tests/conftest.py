@@ -426,6 +426,75 @@ def brute_2blossoms(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+# -- tree lifting by whole-graph candidate tests ----------------------------------
+
+
+def whole_graph_lift(g_before: Graph, g_after: Graph, step, forest_edges):
+    """``reductions._lift`` as it tested each candidate: a union-find over
+    every vertex of the pre-graph and a leaf count over every edge. Same
+    candidates, order, choice and errors; the reference for the lift that
+    tests the replaced region only."""
+    from maxleaf.graphs import component_count, connected_components, edge_key, tree_leaf_count
+    from maxleaf.reductions import FPT_RULES, ReconstructionError
+
+    forest_edges = {edge_key(u, v) for u, v in forest_edges}
+    cc_after = len(connected_components(g_after))
+    if not (
+        len(forest_edges) == g_after.n - cc_after
+        and all(g_after.has_edge(u, v) for u, v in forest_edges)
+        and component_count(g_after.vertices, forest_edges) == cc_after
+    ):
+        raise ReconstructionError("input forest does not span the reduced graph")
+    leaves_after = tree_leaf_count(forest_edges)
+    # a spanning forest has one tree per component of two or more vertices
+    nontrivial = len({v for e in forest_edges for v in e}) - len(forest_edges)
+    cc_pre = len(connected_components(g_before))
+
+    # a checked forest edge the step did not add is a pre-graph edge, so the
+    # kept part is acyclic in the pre-graph and need is never negative
+    kept = forest_edges - {edge_key(u, v) for u, v in step.added_edges}
+    # replay drops a vertex only once its edges are gone, so the removed
+    # edges hold every pre-graph edge at a removed vertex
+    pool_edges = sorted({edge_key(u, v) for u, v in step.removed_edges} - kept)
+    need = (g_before.n - cc_pre) - len(kept)
+
+    # every candidate has n - cc_pre distinct edges of the pre-graph, so it
+    # spans the pre-graph exactly when it leaves cc_pre components
+    best: set[tuple[int, int]] | None = None
+    best_leaves = -1
+    vertices = g_before.vertices
+    for extra in itertools.combinations(pool_edges, need):
+        cand = kept | set(extra)
+        if component_count(vertices, cand) != cc_pre:
+            continue
+        leaves = tree_leaf_count(cand)
+        if leaves > best_leaves:
+            best_leaves = leaves
+            best = cand
+    if best is None:
+        raise ReconstructionError("no completion spans the original graph")
+
+    if step.rule_id in FPT_RULES:
+        if best_leaves < leaves_after + 1:
+            raise ReconstructionError("lift lost the extra leaf of an FPT step")
+    else:
+        # when a rewrite leaves a low-degree vertex behind, trees of the
+        # reduced graph carry a stronger leaf guarantee, worth 2/3 here;
+        # only a touched vertex can change its degree
+        slack = 0
+        if nontrivial <= cc_pre:
+            made_goober = any(
+                g_after.has_vertex(v)
+                and g_after.degree(v) <= 2
+                and (v in step.added_vertices or (g_before.has_vertex(v) and g_before.degree(v) >= 3))
+                for v in step.touched()
+            )
+            slack = 2 if made_goober else 0
+        if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
+            raise ReconstructionError("lift misses the reconstruction bound")
+    return best
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

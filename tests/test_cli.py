@@ -52,8 +52,10 @@ def test_solve_json_stats_witness(capsys, q3_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "YES"
-    assert {"subsets_enumerated", "subsets_pruned", "search_side"} <= doc["stats"].keys()
-    assert doc["stats"]["search_side"] in ("forced", "kept")
+    assert {"subsets_enumerated", "subsets_pruned", "search_side", "probe_leaves"} <= doc["stats"].keys()
+    # the forced side builds the expansion tree first: 4 leaves, so nothing is enumerated
+    assert doc["stats"]["search_side"] == "forced" and doc["stats"]["probe_leaves"] == 4
+    assert doc["stats"]["subsets_enumerated"] == 0
     tree = [tuple(e) for e in doc["witness"]]
     assert verify_spanning_tree(q3(), tree) and tree_leaf_count(tree) >= 4
 

@@ -19,6 +19,7 @@ from maxleaf.reductions import (
     HIGH_RULES,
     LOW_RULES,
     InadmissibleError,
+    ReconstructionError,
     ReductionStep,
     admissible,
     apply_rule,
@@ -503,7 +504,6 @@ def test_reconstruct_rejects_non_spanning_forest():
     g = Graph(edges=[(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
     m = first_admissible(g, "R5")
     g2, step = apply_rule(g, m)
-    from maxleaf.reductions import ReconstructionError
 
     ((u, v),) = step.removed_edges
     others = sorted(g.vertices - {u, v})
@@ -524,6 +524,77 @@ def test_reconstruct_rejects_non_spanning_forest():
     _, step = apply_rule(g, m)
     with pytest.raises(ReconstructionError):
         reconstruct_tree(g, step, {(10, 11), (10, 14), (11, 14), (11, 12), (12, 15)})
+
+
+def random_spanning_forest(g, rng):
+    """A spanning forest of g from its distinct edges in random order."""
+    parent = {v: v for v in g.vertices}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    forest = set()
+    pairs = sorted(set(g.edges()))
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            forest.add((u, v))
+    return forest
+
+
+def _lift_or_error(lift, g_before, g_after, step, forest):
+    try:
+        return lift(g_before, g_after, step, set(forest))
+    except ReconstructionError as exc:
+        return str(exc)
+
+
+def _lift_traces(rng):
+    """Traces of reduce_to_irreducible on random invariant graphs and of
+    fpt_preprocess on graphs with planted diamonds and blossoms and on
+    flowerbed(2), each with its start graph."""
+    from conftest import plant_blossom, plant_diamond
+
+    for i in range(30):
+        try:
+            g = random_invariant_graph(rng.randint(6, 14), 3 if i % 2 else 2, seed=700 + i)
+        except GeneratorError:
+            continue
+        yield g, reduce_to_irreducible(g)[1]
+    for i in range(30):
+        g = random_connected(rng.randint(4, 9), rng.randint(0, 3), rng)
+        g = plant_diamond(g, rng) if i % 2 else plant_blossom(g, rng)
+        yield g, fpt_preprocess(g, g.n)[2]
+    yield flowerbed(2), fpt_preprocess(flowerbed(2), 10)[2]
+
+
+def test_lift_matches_whole_graph_reference(rng):
+    """The region-local lift returns the whole-graph lift's tree, or raises
+    its error, on every step of the traces, for the forest lifted from the
+    end of the trace and for random spanning forests of each step's
+    graph."""
+    from conftest import whole_graph_lift
+
+    compared = 0
+    rules = set()
+    for g, steps in _lift_traces(rng):
+        graphs = [g]
+        for step in steps:
+            graphs.append(step.replay(graphs[-1]))
+        chain = random_spanning_forest(graphs[-1], rng)
+        for i in reversed(range(len(steps))):
+            rules.add(steps[i].rule_id)
+            args = graphs[i], graphs[i + 1], steps[i]
+            for forest in [chain] + [random_spanning_forest(graphs[i + 1], rng) for _ in range(3)]:
+                got = _lift_or_error(reductions._lift, *args, forest)
+                assert got == _lift_or_error(whole_graph_lift, *args, forest), (steps[i].rule_id, sorted(forest))
+                compared += 1
+            chain = reductions._lift(*args, chain)
+    assert compared >= 300 and {"F1", "F2"} <= rules and len(rules) >= 5, (compared, rules)
 
 
 def test_reconstruct_r5_keeps_the_tree():

@@ -29,6 +29,7 @@ from conftest import (
     plant_blossom,
     plant_diamond,
     random_connected,
+    random_loopless_multigraph,
     random_multigraph,
     reference_forced_feasible,
     spanning_trees,
@@ -412,27 +413,95 @@ def _search_instances(rng):
         yield g, s
 
 
-def test_each_side_matches_exhaustive_reference(rng):
-    outcomes = {("forced", True): 0, ("forced", False): 0, ("kept", True): 0, ("kept", False): 0}
+def test_each_side_matches_exhaustive_reference(rng, monkeypatch):
+    """Both enumerations with the expansion-tree probe stubbed out, then the
+    forced side with the probe."""
+    probe = solver.expansion_tree
+    outcomes = {(case, found): 0 for case in ("forced", "kept", "probe") for found in (True, False)}
+    probe_answers = 0
     for g, s in _search_instances(rng):
         big = sorted(vertices_ge3(g))
         hl = len(graph_leaves(g))
         for k in range(1, g.n + 1):
             ref, _ = exhaustive_forced_search(s, big, k, hl)
-            for side in ("forced", "kept"):
+            for case in ("forced", "kept", "probe"):
+                monkeypatch.setattr(solver, "expansion_tree", probe if case == "probe" else lambda g: [])
+                side = "forced" if case == "probe" else case
                 stats = SolveStats()
-                hit = solver._search(s, big, k, hl, stats, side=side)
+                hit = solver._search(g, s, k, stats, side=side)
                 assert stats.search_side == side
-                assert (hit is None) == (ref is None), (sorted(g.edges()), k, side)
-                outcomes[side, hit is not None] += 1
+                assert (hit is None) == (ref is None), (sorted(g.edges()), k, case)
+                outcomes[case, hit is not None] += 1
                 if side == "kept":
-                    assert stats.subsets_pruned == 0
+                    assert stats.subsets_pruned == 0 and stats.probe_leaves is None
+                if case == "probe" and stats.probe_leaves >= k:
+                    assert stats.subsets_enumerated == 0
+                    probe_answers += 1
                 if hit is None:
                     continue
                 assert achievable_leaves(ForcedLeafQuery(s, hit, hl)) >= k
                 tree = forced_leaf_tree(s, hit)
-                assert verify_spanning_tree(g, tree) and tree_leaf_count(tree) >= k, (sorted(g.edges()), k, side)
-    assert min(outcomes.values()) >= 150, outcomes
+                assert verify_spanning_tree(g, tree) and tree_leaf_count(tree) >= k, (sorted(g.edges()), k, case)
+    assert min(outcomes.values()) >= 150 and probe_answers >= 150, (outcomes, probe_answers)
+
+
+def test_expansion_tree_spans(rng):
+    """A spanning tree on random connected graphs and on connected loop-free
+    multigraphs, the same one for the same graph built another way."""
+    for i in range(300):
+        if i % 2:
+            g = random_connected(rng.randint(2, 30), rng.randint(0, 20), rng)
+        else:
+            g = random_loopless_multigraph(rng.randint(2, 12), rng.randint(1, 24), rng)
+        tree = solver.expansion_tree(g)
+        assert verify_spanning_tree(g, tree), sorted(g.edges())
+        assert solver.expansion_tree(Graph(sorted(g.vertices, reverse=True), reversed(list(g.edges())))) == tree
+    with pytest.raises(GraphError):
+        solver.expansion_tree(Graph(edges=[(1, 2), (3, 4)]))
+
+
+def test_expansion_tree_meets_kleitman_west():
+    """At least n/4 + 2 leaves on every graph of minimum degree 3 among the
+    seeded random invariant graphs with n = 8..120."""
+    checked = 0
+    for n in range(8, 121, 4):
+        for seed in range(4):
+            g = random_invariant_graph(n, 3, seed)
+            if g.min_degree() < 3:
+                continue
+            tree = solver.expansion_tree(g)
+            assert verify_spanning_tree(g, tree) and 4 * tree_leaf_count(tree) >= g.n + 8, (n, seed)
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("k", range(9, 13))
+def test_yes_far_below_the_optimum_needs_no_enumeration(k):
+    # the forced side used to climb every level below k here: 875,704 sets
+    # at k=9 up to 2,440,118 at k=12
+    g = random_invariant_graph(24, 3, 0)
+    v = fpt_decide(g, k, want_witness=True)
+    assert v.is_yes and v.stats.search_side == "forced"
+    assert v.stats.subsets_enumerated == 0 and v.stats.probe_leaves >= k
+    assert verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= k
+
+
+def test_shortcut_witness_is_the_expansion_tree():
+    g = random_invariant_graph(160, 3, 0)
+    v = fpt_decide(g, 53, want_witness=True)
+    assert v.is_yes and v.stats.search_side is None and v.stats.probe_leaves >= 53
+    assert v.witness == solver.expansion_tree(g)
+
+
+def test_degree_ceiling_refutes_before_the_search(rng):
+    # q3: 8 vertices of degree 3, so every spanning tree has at least 3
+    # internal vertices and at most 5 leaves
+    v = fpt_decide(q3(), 6)
+    assert not v.is_yes and v.stats.search_side is None and v.stats.subsets_enumerated == 0
+    for _ in range(200):
+        g = random_connected(rng.randint(2, 9), rng.randint(0, 6), rng)
+        spread = max(1, max(g.degree(v) for v in g.vertices) - 1)
+        assert brute_max_leaves(g) <= g.n - solver._fewest_internal(g.n, spread), sorted(g.edges())
 
 
 def test_random18_no_threshold_takes_kept_side():
@@ -483,8 +552,9 @@ def dfs_tree(g):
 
 def test_stats_count_shortcut_fallback(monkeypatch):
     # a path with chords i -- i+6: ten degree-3 vertices, so the ratio
-    # shortcut fires at k=3, and a greedy builder returning the path itself
-    # leaves the forced-set search to find the witness
+    # shortcut fires at k=3, and an expansion tree and a greedy builder both
+    # returning the path itself leave the forced-set search to find the
+    # witness
     g = Graph(edges=[(i, i + 1) for i in range(1, 12)] + [(i, i + 6) for i in range(1, 7)])
     calls = []
 
@@ -493,6 +563,7 @@ def test_stats_count_shortcut_fallback(monkeypatch):
         return achievable_leaves(q)
 
     monkeypatch.setattr(potential, "greedy_spanning_tree", dfs_tree)
+    monkeypatch.setattr(solver, "expansion_tree", lambda g: dfs_tree(g)[0])
     monkeypatch.setattr(solver, "achievable_leaves", counted)
     v = fpt_decide(g, 3, want_witness=True)
     assert v.is_yes and verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= 3
