@@ -146,13 +146,6 @@ def flowerbed(i: int) -> Graph:
     return g
 
 
-def flower_roles(j: int = 0) -> dict[str, int]:
-    """Vertex ids of the j-th flower inside a flowerbed."""
-    off = 13 * j
-    names = ["b", "a1", "a2", "a3", "a4", "c1", "c2", "f1", "f2", "h", "s", "g1", "g2"]
-    return {name: off + idx for idx, name in enumerate(names, start=1)}
-
-
 def random_invariant_graph(n: int, min_degree_target: int = 3, seed: int = 0) -> Graph:
     """Seeded random connected simple graph passing the invariant check.
 

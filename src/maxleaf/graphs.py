@@ -241,6 +241,28 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     return parts
 
 
+def components_meeting(g: Graph, vs: Iterable[int]) -> int:
+    """Number of components of g that hold a vertex of ``vs`` (all of them
+    vertices of g). Each walk stops once it has met every vertex of ``vs``
+    not yet reached, so vertices joined near each other cost a local walk;
+    only a walk that misses one covers its whole component. Over every
+    vertex of g it counts all the components."""
+    left = set(vs)
+    count = 0
+    while left:
+        start = left.pop()
+        count += 1
+        seen = {start}
+        queue = deque([start])
+        while queue and left:
+            for w in g._adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    left.discard(w)
+                    queue.append(w)
+    return count
+
+
 def is_connected(g: Graph) -> bool:
     """One walk from any vertex: connected when it reaches all of them."""
     start = next(iter(g._adj), None)
@@ -432,14 +454,6 @@ class SuppressedGraph:
             else:
                 d += (e.u == v) + (e.v == v)
         return d
-
-    def expand_back(self) -> Graph:
-        """Rebuild the host graph from the stored paths."""
-        g = Graph(vertices=self.vertices)
-        for e in self.sedges:
-            for a, b in zip(e.path, e.path[1:]):
-                g.add_edge(a, b)
-        return g
 
     def to_json_dict(self) -> dict:
         return {

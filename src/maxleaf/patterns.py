@@ -2,12 +2,16 @@
 blossoms, their two-terminal variants, and the reduction-safety invariant.
 
 All detectors are deterministic: candidates are grown from seeds in sorted
-vertex order and reported in a canonical role order.
+vertex order and reported in a canonical role order. The matchers the
+reduction rules share take an optional set of start vertices: without one
+they scan the whole graph, with one only the structures grown from those
+vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graphs import Graph, connected_components, is_goober
 
@@ -67,6 +71,12 @@ def _one_per_vertex_set(matches: list[PatternMatch]) -> list[PatternMatch]:
     return sorted(dedup.values(), key=lambda m: m.vertices)
 
 
+def start_order(g: Graph, starts: Iterable[int] | None) -> list[int]:
+    """The vertices a matcher scans from, ascending: all of g's, or
+    ``starts`` (vertices of g) when given."""
+    return sorted(g.vertices if starts is None else starts)
+
+
 # -- diamond blocks ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -78,10 +88,11 @@ class _Block:
     conns: tuple[int, int]
 
 
-def _diamond_blocks(g: Graph) -> list[_Block]:
-    """All diamonds whose inner vertices have host degree exactly 3."""
+def _diamond_blocks(g: Graph, starts=None) -> list[_Block]:
+    """All diamonds whose inner vertices have host degree exactly 3, found
+    from their smaller inner vertex."""
     blocks = []
-    for i1 in sorted(g.vertices):
+    for i1 in start_order(g, starts):
         if g.degree(i1) != 3:
             continue
         for i2 in sorted(g.neighbors(i1)):
@@ -205,12 +216,13 @@ def find_2necklaces(g: Graph, seeds: set[int] | None = None) -> list[PatternMatc
 
 # -- blossoms --------------------------------------------------------------------
 
-def _bowties(g: Graph):
+def _bowties(g: Graph, starts=None):
     """Each split of a loop-free degree-4 vertex's four simple degree-3
     neighbours into two pairs, each pair a triangle with it, whose four
     vertices all have exactly one neighbour outside their triangle: yields
-    (center, pair1, pair2, those four neighbours in pair order)."""
-    for b in sorted(g.vertices):
+    (center, pair1, pair2, those four neighbours in pair order), found from
+    the center."""
+    for b in start_order(g, starts):
         if g.degree(b) != 4 or g.loops_at(b):
             continue
         nbrs = sorted(g.neighbors(b))
@@ -226,12 +238,14 @@ def _bowties(g: Graph):
                 yield b, pair1, pair2, tuple(next(iter(rest)) for rest in ends)
 
 
-def _blossom_matches(g: Graph, exact_terminal_degree: bool, seeds: set[int] | None = None) -> list[PatternMatch]:
+def _blossom_matches(
+    g: Graph, exact_terminal_degree: bool, seeds: set[int] | None = None, starts=None
+) -> list[PatternMatch]:
     """Blossom subgraphs whose only terminals are the two connector vertices.
     ``exact_terminal_degree`` asks for host degree exactly 3 at the
     connectors; otherwise any degree above 2 qualifies."""
     out = []
-    for b, (a1, a2), (x, y), (t1, t2, tx, ty) in _bowties(g):
+    for b, (a1, a2), (x, y), (t1, t2, tx, ty) in _bowties(g, starts):
         # c1 joins a1 with one vertex of the second triangle
         if t1 == tx and t2 == ty:
             a3, a4 = y, x
@@ -262,66 +276,21 @@ def find_2blossoms(g: Graph, seeds: set[int] | None = None) -> list[PatternMatch
     return _blossom_matches(g, exact_terminal_degree=True, seeds=seeds)
 
 
-def find_2terminal(g: Graph, kind: str) -> list[PatternMatch]:
+def find_2terminal(g: Graph, kind: str, starts: Iterable[int] | None = None) -> list[PatternMatch]:
     """Diamond or blossom subgraphs whose only terminals are the two vertices
     of structure degree 2, of arbitrary host degree (at least 3, so they
-    really are terminals)."""
+    really are terminals); with ``starts``, those found from a smaller inner
+    vertex or a blossom center among them."""
     if kind == KIND_2T_DIAMOND:
         out = []
-        for b in _diamond_blocks(g):
+        for b in _diamond_blocks(g, starts):
             u, v = b.conns
             if g.degree(u) >= 3 and g.degree(v) >= 3:
                 out.append(PatternMatch(KIND_2T_DIAMOND, (u, b.inner[0], b.inner[1], v), (u, v), k=1))
         return _one_per_vertex_set(out)
     if kind == KIND_2T_BLOSSOM:
-        return _blossom_matches(g, exact_terminal_degree=False)
+        return _blossom_matches(g, exact_terminal_degree=False, starts=starts)
     raise ValueError(f"unknown 2-terminal kind {kind!r}")
-
-
-def verify_match(g: Graph, m: PatternMatch) -> bool:
-    """Re-check a match edge by edge against its canonical pattern."""
-    vs = m.vertices
-    if len(set(vs)) != len(vs):
-        return False
-    if m.kind in (KIND_CUBIC_DIAMOND, KIND_2T_DIAMOND):
-        c1, i1, i2, c2 = vs
-        need = [(c1, i1), (c1, i2), (c2, i1), (c2, i2), (i1, i2)]
-        if not all(g.has_edge(a, b) for a, b in need):
-            return False
-        if g.degree(i1) != 3 or g.degree(i2) != 3:
-            return False
-        if m.kind == KIND_CUBIC_DIAMOND:
-            return g.degree(c1) == 3 and g.degree(c2) == 3 and not g.has_edge(c1, c2)
-        return g.degree(c1) >= 3 and g.degree(c2) >= 3
-    if m.kind == KIND_2NECKLACE:
-        if len(vs) != 3 * m.k + 1:
-            return False
-        for j in range(m.k):
-            c1, i1, i2, c2 = vs[3 * j], vs[3 * j + 1], vs[3 * j + 2], vs[3 * j + 3]
-            need = [(c1, i1), (c1, i2), (c2, i1), (c2, i2), (i1, i2)]
-            if not all(g.has_edge(a, b) for a, b in need):
-                return False
-            if g.degree(i1) != 3 or g.degree(i2) != 3:
-                return False
-        junctions = [vs[3 * j] for j in range(1, m.k)]
-        if any(g.degree(j) != 4 for j in junctions):
-            return False
-        return g.degree(vs[0]) == 3 and g.degree(vs[-1]) == 3
-    if m.kind in (KIND_2BLOSSOM, KIND_2T_BLOSSOM):
-        b, a1, a2, a3, a4, c1, c2 = vs
-        need = [
-            (b, a1), (b, a2), (b, a3), (b, a4),
-            (a1, a2), (a3, a4),
-            (c1, a1), (c1, a4), (c2, a2), (c2, a3),
-        ]
-        if not all(g.has_edge(x, y) for x, y in need):
-            return False
-        if g.degree(b) != 4 or any(g.degree(a) != 3 for a in (a1, a2, a3, a4)):
-            return False
-        if m.kind == KIND_2BLOSSOM:
-            return g.degree(c1) == 3 and g.degree(c2) == 3
-        return g.degree(c1) >= 3 and g.degree(c2) >= 3
-    return False
 
 
 # -- the invariant ---------------------------------------------------------------

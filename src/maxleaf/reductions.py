@@ -3,16 +3,21 @@ configurations, five high-degree rules around degree-4 structures, and the two
 decision-equivalent rules used by the FPT preprocessing.
 
 Rewrite actions follow the stated applicability restrictions; every applied
-step records exactly what changed, replays forward, and undoes backward, so
-traces are reproducible. No rule may introduce a new 2-necklace or 2-blossom,
-and on invariant-satisfying inputs every rule preserves the invariant. Rule
-checks run once: ``admissible`` and ``apply_rule`` rematch a caller's match
-and test the graph's invariant, the reduction loop trusts its own fresh
-matches on invariant graphs, and lifting reads the step record (its removed
-edges and touched vertices) instead of rescanning the graph. Lifting tests
-each candidate completion on the replaced region only: the kept forest is
-unioned once per step, and a candidate is read off the roots and degrees
-of its extra edges' endpoints.
+step records exactly what changed, applies forward and reverts backward in
+place, so traces are reproducible. No rule may introduce a new 2-necklace or
+2-blossom, and on invariant-satisfying inputs every rule preserves the
+invariant. Rule checks run once: ``admissible`` and ``apply_rule`` rematch a
+caller's match and test the graph's invariant, and the reduction loop trusts
+its own matches on invariant graphs.
+
+The loop and the lift each work on one copy of their graph. The loop applies
+each vetted match in place, reverting it when rejected, counts the step's
+component change by walks from its touched vertices, and keeps each rule's
+matches cached, refreshed around the touched vertices. The lift takes the
+copy forward through the trace and reverts one step at a time, carrying the
+start graph's component count through each step's ``component_delta``. It
+reads the step record, makes one pass over the forest per step, and tests
+each candidate completion on the replaced region only.
 """
 
 from __future__ import annotations
@@ -20,16 +25,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
-from .graphs import (
-    Graph,
-    GraphError,
-    component_count,
-    connected_components,
-    edge_key,
-    is_goober,
-    tree_leaf_count,
-)
+from .graphs import Graph, GraphError, components_meeting, edge_key, is_goober
 from .patterns import (
     KIND_2BLOSSOM,
     KIND_2NECKLACE,
@@ -40,6 +38,7 @@ from .patterns import (
     check_invariant,
     find_2terminal,
     introduces_forbidden,
+    start_order,
 )
 
 LOW_RULES = ("L1", "L2", "L3", "L4", "L5", "L6", "L7")
@@ -92,34 +91,42 @@ class ReductionStep:
             out.add(v)
         return out
 
-    def replay(self, g: Graph) -> Graph:
-        """Apply the recorded rewrite to a graph in the pre-state."""
-        out = g.copy()
+    def apply(self, g: Graph) -> None:
+        """Apply the recorded rewrite in place to a graph in the pre-state."""
         for u, v in self.removed_edges:
-            out.remove_edge(u, v)
+            g.remove_edge(u, v)
         for v in self.removed_vertices:
-            if out.degree(v) != 0:
+            if g.degree(v) != 0:
                 raise GraphError(f"replay: vertex {v} still has edges")
-            out.remove_vertex(v)
+            g.remove_vertex(v)
         for v in self.added_vertices:
-            if out.has_vertex(v):
+            if g.has_vertex(v):
                 raise GraphError(f"replay: vertex {v} already present")
-            out.add_vertex(v)
+            g.add_vertex(v)
         for u, v in self.added_edges:
-            out.add_edge(u, v)
+            g.add_edge(u, v)
+
+    def revert(self, g: Graph) -> None:
+        """Restore the pre-state in place from a graph in the post-state."""
+        for u, v in self.added_edges:
+            g.remove_edge(u, v)
+        for v in self.added_vertices:
+            g.remove_vertex(v)
+        for v in self.removed_vertices:
+            g.add_vertex(v)
+        for u, v in self.removed_edges:
+            g.add_edge(u, v)
+
+    def replay(self, g: Graph) -> Graph:
+        """The post-state of a graph in the pre-state, as a new graph."""
+        out = g.copy()
+        self.apply(out)
         return out
 
     def undo(self, g: Graph) -> Graph:
-        """Restore the pre-state from a graph in the post-state."""
+        """The pre-state of a graph in the post-state, as a new graph."""
         out = g.copy()
-        for u, v in self.added_edges:
-            out.remove_edge(u, v)
-        for v in self.added_vertices:
-            out.remove_vertex(v)
-        for v in self.removed_vertices:
-            out.add_vertex(v)
-        for u, v in self.removed_edges:
-            out.add_edge(u, v)
+        self.revert(out)
         return out
 
     def to_json_dict(self) -> dict:
@@ -169,14 +176,14 @@ def _goober_far_end(g: Graph, gb: int, near: int) -> int | None:
     return rest[0]
 
 
-def _match_bilateral(g: Graph, rule_id: str):
+def _match_bilateral(g: Graph, rule_id: str, starts):
     """Shared enumerator for the four bilateral low-degree shapes. Sides are
     described by how many of the two side edges run through a degree-2
     connector: L1 = (1, 1) across an edge, L3 = (1, 1) across a central
-    degree-2 vertex, L4 = (2, 1), L5 = (2, 2). Each y is read off x: a
-    neighbour, or for L3 the far end of a degree-2 neighbour."""
+    degree-2 vertex, L4 = (2, 1), L5 = (2, 2). Each y is read off x, the
+    start: a neighbour, or for L3 the far end of a degree-2 neighbour."""
     matches = []
-    for x in sorted(g.vertices):
+    for x in start_order(g, starts):
         if g.degree(x) != 3 or g.loops_at(x):
             continue
         if rule_id == "L3":
@@ -248,19 +255,21 @@ def _side_options(g: Graph, near: int, rest: list[int], want_goobers: int, core:
     return out
 
 
-def _match_l2(g: Graph):
+def _match_l2(g: Graph, starts):
+    """Components of two vertices joined by an edge, found from the smaller."""
     matches = []
-    for comp in connected_components(g):
-        if len(comp) == 2:
-            u, v = sorted(comp)
-            if g.has_edge(u, v):
+    for u in start_order(g, starts):
+        nbrs = g.neighbors(u) - {u}
+        if len(nbrs) == 1:
+            (v,) = nbrs
+            if v > u and g.neighbors(v) - {v} == {u}:
                 matches.append(RuleMatch("L2", {"u": u, "v": v}))
     return matches
 
 
-def _match_l6(g: Graph):
+def _match_l6(g: Graph, starts):
     matches = []
-    for g1 in sorted(g.vertices):
+    for g1 in start_order(g, starts):
         if g.degree(g1) != 2 or g.loops_at(g1):
             continue
         for g2 in sorted(g.neighbors(g1)):
@@ -276,9 +285,9 @@ def _match_l6(g: Graph):
     return matches
 
 
-def _match_l7(g: Graph):
+def _match_l7(g: Graph, starts):
     matches = []
-    for gz in sorted(g.vertices):
+    for gz in start_order(g, starts):
         if g.degree(gz) != 2 or g.loops_at(gz):
             continue
         nbrs = sorted(g.neighbors(gz))
@@ -297,11 +306,11 @@ def _match_l7(g: Graph):
     return matches
 
 
-def _match_diamond_rule(g: Graph, rule_id: str):
+def _match_diamond_rule(g: Graph, rule_id: str, starts):
     """R1: one connector of degree >= 4, the rest exactly 3.
     R2: both connectors of degree >= 4."""
     matches = []
-    for blk in _diamond_blocks(g):
+    for blk in _diamond_blocks(g, starts):
         u, v = blk.conns
         du, dv = g.degree(u), g.degree(v)
         if rule_id == "R1":
@@ -318,9 +327,9 @@ def _match_diamond_rule(g: Graph, rule_id: str):
     return _canonical(matches)
 
 
-def _match_r3(g: Graph):
+def _match_r3(g: Graph, starts):
     matches = []
-    for t in sorted(g.vertices):
+    for t in start_order(g, starts):
         if g.degree(t) != 3 or g.loops_at(t):
             continue
         nbrs = sorted(g.neighbors(t))
@@ -336,9 +345,9 @@ def _match_r3(g: Graph):
     return _canonical(matches)
 
 
-def _match_r4(g: Graph):
+def _match_r4(g: Graph, starts):
     matches = []
-    for x, pair1, pair2, anchors in _bowties(g):
+    for x, pair1, pair2, anchors in _bowties(g, starts):
         if any(a in (x, *pair1, *pair2) for a in anchors):
             continue
         roles = {
@@ -352,9 +361,9 @@ def _match_r4(g: Graph):
     return _canonical(matches)
 
 
-def _match_r5(g: Graph):
+def _match_r5(g: Graph, starts):
     matches = []
-    for u in sorted(g.vertices):
+    for u in start_order(g, starts):
         if g.degree(u) < 4:
             continue
         for v in sorted(g.neighbors(u)):
@@ -364,17 +373,17 @@ def _match_r5(g: Graph):
     return matches
 
 
-def _match_f1(g: Graph):
+def _match_f1(g: Graph, starts):
     out = []
-    for m in find_2terminal(g, KIND_2T_DIAMOND):
+    for m in find_2terminal(g, KIND_2T_DIAMOND, starts):
         c1, i1, i2, c2 = m.vertices
         out.append(RuleMatch("F1", {"u": c1, "v": c2, "i1": i1, "i2": i2}))
     return out
 
 
-def _match_f2(g: Graph):
+def _match_f2(g: Graph, starts):
     out = []
-    for m in find_2terminal(g, KIND_2T_BLOSSOM):
+    for m in find_2terminal(g, KIND_2T_BLOSSOM, starts):
         b, a1, a2, a3, a4, c1, c2 = m.vertices
         out.append(
             RuleMatch("F2", {"b": b, "a1": a1, "a2": a2, "a3": a3, "a4": a4, "c1": c1, "c2": c2})
@@ -383,15 +392,15 @@ def _match_f2(g: Graph):
 
 
 _MATCHERS = {
-    "L1": lambda g: _match_bilateral(g, "L1"),
+    "L1": lambda g, starts: _match_bilateral(g, "L1", starts),
     "L2": _match_l2,
-    "L3": lambda g: _match_bilateral(g, "L3"),
-    "L4": lambda g: _match_bilateral(g, "L4"),
-    "L5": lambda g: _match_bilateral(g, "L5"),
+    "L3": lambda g, starts: _match_bilateral(g, "L3", starts),
+    "L4": lambda g, starts: _match_bilateral(g, "L4", starts),
+    "L5": lambda g, starts: _match_bilateral(g, "L5", starts),
     "L6": _match_l6,
     "L7": _match_l7,
-    "R1": lambda g: _match_diamond_rule(g, "R1"),
-    "R2": lambda g: _match_diamond_rule(g, "R2"),
+    "R1": lambda g, starts: _match_diamond_rule(g, "R1", starts),
+    "R2": lambda g, starts: _match_diamond_rule(g, "R2", starts),
     "R3": _match_r3,
     "R4": _match_r4,
     "R5": _match_r5,
@@ -399,11 +408,57 @@ _MATCHERS = {
     "F2": _match_f2,
 }
 
+# Each matcher grows a match from one role vertex, its start. The reach is
+# the farthest any other role lies from the start, so a match with a role in
+# a vertex set starts within its rule's reach of that set.
+_REACH = {
+    "L1": 3, "L2": 1, "L3": 4, "L4": 3, "L5": 3, "L6": 2, "L7": 2,
+    "R1": 1, "R2": 1, "R3": 1, "R4": 2, "R5": 1, "F1": 1, "F2": 2,
+}
+# Matchers that do not sort by RuleMatch.key list their matches by these
+# roles' vertices.
+_ORDER = {
+    "L2": ("u",), "L6": ("g1", "g2"), "L7": ("gz",), "R5": ("u", "v"),
+    "F1": ("u", "i1", "i2", "v"), "F2": ("b", "a1", "a2", "a3", "a4", "c1", "c2"),
+}
 
-def find_matches(g: Graph, rule_id: str) -> list[RuleMatch]:
+
+def _match_order(m: RuleMatch) -> tuple:
+    """The sort key of a match's place in find_matches order."""
+    names = _ORDER.get(m.rule_id)
+    return m.key() if names is None else tuple(m.roles[name] for name in names)
+
+
+def find_matches(g: Graph, rule_id: str, starts: Iterable[int] | None = None) -> list[RuleMatch]:
+    """Every match of one rule, in a fixed order; with ``starts`` (vertices
+    of g), only those grown from a start vertex among them."""
     if rule_id not in _MATCHERS:
         raise GraphError(f"unknown rule {rule_id!r}")
-    return _MATCHERS[rule_id](g)
+    return _MATCHERS[rule_id](g, starts)
+
+
+def _refresh(g: Graph, cache: dict[str, list[RuleMatch]], touched: set[int]) -> None:
+    """Bring each rule's cached matches up to date with g after a step that
+    touched ``touched``. A match with no touched role kept its roles'
+    degrees and neighbours, so it still fits, and every new match has a
+    touched role: the cache drops the matches with one and adds those of a
+    rescan from the start vertices within the rule's reach of the touched
+    vertices left in g."""
+    dist = {v: 0 for v in touched if g.has_vertex(v)}
+    frontier = list(dist)
+    for d in range(1, max(_REACH[rule_id] for rule_id in cache) + 1):  # breadth first
+        layer = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = d
+                    layer.append(w)
+        frontier = layer
+    for rule_id, matches in cache.items():
+        starts = [v for v, d in dist.items() if d <= _REACH[rule_id]]
+        fresh = [m for m in find_matches(g, rule_id, starts) if not touched.isdisjoint(m.roles.values())]
+        kept = [m for m in matches if touched.isdisjoint(m.roles.values())]
+        cache[rule_id] = sorted(kept + fresh, key=_match_order)
 
 
 # -- rewrites --------------------------------------------------------------------
@@ -498,59 +553,69 @@ def _shared_end_reason(g: Graph, match: RuleMatch) -> str | None:
 
 
 def _vet(
-    g: Graph, match: RuleMatch, invariant_ok: bool
-) -> tuple[str | None, ReductionStep | None, Graph | None]:
-    """The admissibility check of a match that fits its template on g: the
-    violated condition (None when the rule applies) and, once built, the
-    step with its deltas and the rewritten graph."""
+    g: Graph, match: RuleMatch, before: Graph | None = None
+) -> tuple[str | None, ReductionStep | None]:
+    """The admissibility check of a match that fits its template on g, made
+    on g itself: the rewrite is applied in place and reverted when the rule
+    does not apply. Returns the violated condition (None when the rule
+    applies) and then the step with its deltas. ``before``, a copy of g, is
+    given when g may violate the invariant; without it g satisfies it."""
     rid = match.rule_id
     r = match.roles
     reason = _shared_end_reason(g, match)
     if reason:
-        return reason, None, None
+        return reason, None
 
     plan = build_plan(g, match)
-    try:
-        after = plan.replay(g)
-    except GraphError as exc:
-        return f"rewrite not executable: {exc}", None, None
-    cc_before = len(connected_components(g))
-    cc_after = len(connected_components(after))
-    touched = plan.touched()  # every other vertex keeps its degree
-    n3 = [sum(1 for v in touched if h.has_vertex(v) and h.degree(v) >= 3) for h in (g, after)]
-    step = replace(plan, delta_n3=n3[0] - n3[1], component_delta=cc_after - cc_before)
-    if rid in FPT_RULES:
-        return None, step, after
-    if rid == "R5" and cc_after != cc_before:
-        return "bridge", None, None
-    if rid == "R3" and cc_after != cc_before:
-        return "connectivity", None, None
-    if rid == "R4" and cc_after <= cc_before:
-        return "connectivity", None, None
-    if rid == "R3" and g.has_edge(r["u"], r["w"]):
-        return "edge uw already present", None, None
+    touched = plan.touched()  # every other vertex keeps its neighbours
 
-    if invariant_ok:
-        # g has no 2-necklace or 2-blossom, so any in the result is new
-        clause = check_invariant(after).violated_clause
+    def tally() -> tuple[int, int]:
+        """Components meeting the touched vertices, and those of degree 3+."""
+        present = [v for v in touched if g.has_vertex(v)]
+        return components_meeting(g, present), sum(1 for v in present if g.degree(v) >= 3)
+
+    uw_present = rid == "R3" and g.has_edge(r["u"], r["w"])
+    cc_before, n3_before = tally()
+    plan.apply(g)
+    cc_after, n3_after = tally()
+    step = replace(plan, delta_n3=n3_before - n3_after, component_delta=cc_after - cc_before)
+    if rid in FPT_RULES:
+        return None, step
+    if rid == "R5" and cc_after != cc_before:
+        reason = "bridge"
+    elif rid == "R3" and cc_after != cc_before:
+        reason = "connectivity"
+    elif rid == "R4" and cc_after <= cc_before:
+        reason = "connectivity"
+    elif uw_present:
+        reason = "edge uw already present"
+    elif before is None:
+        # g had no 2-necklace or 2-blossom, so any in the result is new
+        clause = check_invariant(g).violated_clause
         if clause in (KIND_2NECKLACE, KIND_2BLOSSOM):
-            return f"creates a new {clause}", None, None
-        if clause:
-            return f"would violate the invariant ({clause})", None, None
+            reason = f"creates a new {clause}"
+        elif clause:
+            reason = f"would violate the invariant ({clause})"
     else:
         # scanning only structures that meet the touched set is complete: a
         # forbidden structure avoiding every touched vertex existed before
-        created = introduces_forbidden(g, after, touched)
+        created = introduces_forbidden(before, g, touched)
         if created is not None:
-            return f"creates a new {created.kind}", None, None
-    return None, step, after
+            reason = f"creates a new {created.kind}"
+    if reason is not None:
+        plan.revert(g)
+        return reason, None
+    return None, step
 
 
-def _vet_outside(g: Graph, match: RuleMatch):
-    """_vet on a caller's match, which the rule's matcher must find on g."""
+def _vet_outside(g: Graph, match: RuleMatch) -> tuple[str | None, ReductionStep | None, Graph]:
+    """_vet on a copy of g for a caller's match, which the rule's matcher
+    must find on g; also returns the copy, rewritten when the rule applies."""
     if not _template_fits(g, match):
         raise InadmissibleError(match.rule_id, "match does not fit the rule template")
-    return _vet(g, match, check_invariant(g).ok)
+    after = g.copy()
+    reason, step = _vet(after, match, None if check_invariant(g).ok else g)
+    return reason, step, after
 
 
 def admissible(g: Graph, match: RuleMatch) -> tuple[bool, str]:
@@ -569,18 +634,21 @@ def apply_rule(g: Graph, match: RuleMatch) -> tuple[Graph, ReductionStep]:
 
 def _reduce(g: Graph, rules: tuple[str, ...]) -> tuple[Graph, list[ReductionStep]]:
     """Apply the first admissible match (rules in the given order, matches
-    smallest first) until none is left. The matches fit by construction; L/R
-    rules run on invariant graphs (checked at entry, kept by every admitted
-    step), and F rules never consult the invariant."""
+    in find_matches order) until none is left, on one copy of g. The matches
+    fit by construction: each rule's stay cached and are refreshed around
+    each step's touched vertices. L/R rules run on invariant graphs (checked
+    at entry, kept by every admitted step), and F rules never consult the
+    invariant."""
     cur = g.copy()
     steps: list[ReductionStep] = []
+    cache = {rule_id: find_matches(cur, rule_id) for rule_id in rules}
     budget = 4 * (g.n + g.m) + 16
     while len(steps) <= budget:
-        for match in (m for rule_id in rules for m in find_matches(cur, rule_id)):
-            reason, step, after = _vet(cur, match, True)
+        for match in (m for rule_id in rules for m in cache[rule_id]):
+            reason, step = _vet(cur, match)
             if reason is None:
-                cur = after
                 steps.append(step)
+                _refresh(cur, cache, step.touched())
                 break
         else:
             return cur, steps
@@ -615,55 +683,69 @@ def reconstruct_tree(
     ways to complete it with the edges the step removed, maximizing the leaf
     count. Raises ReconstructionError when the leaf contract cannot be met.
     """
-    return _lift(g_before, step.replay(g_before), step, forest_edges)
+    return reconstruct_chain(g_before, [step], forest_edges)
 
 
 def _lift(
-    g_before: Graph, g_after: Graph, step: ReductionStep, forest_edges: set[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """reconstruct_tree with the replayed graph already at hand."""
-    forest_edges = {edge_key(u, v) for u, v in forest_edges}
-    cc_after = len(connected_components(g_after))
-    if not (
-        len(forest_edges) == g_after.n - cc_after
-        and all(g_after.has_edge(u, v) for u, v in forest_edges)
-        and component_count(g_after.vertices, forest_edges) == cc_after
-    ):
+    g: Graph, step: ReductionStep, forest: set[tuple[int, int]], cc_after: int, cc_before: int
+) -> None:
+    """Lift ``forest``, a set of edge keys, in place over one step: g is in
+    the step's post-state with ``cc_after`` components, and the step is
+    reverted on g, whose pre-state has ``cc_before``."""
+    added = {edge_key(u, v) for u, v in step.added_edges}
+    if len(forest) != g.n - cc_after:
         raise ReconstructionError("input forest does not span the reduced graph")
-    leaves_after = tree_leaf_count(forest_edges)
-    # a spanning forest has one tree per component of two or more vertices
-    nontrivial = len({v for e in forest_edges for v in e}) - len(forest_edges)
-    cc_pre = len(connected_components(g_before))
-
-    # a checked forest edge the step did not add is a pre-graph edge, so the
-    # kept part is acyclic in the pre-graph and need is never negative
-    kept = forest_edges - {edge_key(u, v) for u, v in step.added_edges}
-    # replay drops a vertex only once its edges are gone, so the removed
-    # edges hold every pre-graph edge at a removed vertex
-    pool_edges = sorted({edge_key(u, v) for u, v in step.removed_edges} - kept)
-    need = (g_before.n - cc_pre) - len(kept)
-
-    # every candidate, the kept forest plus ``need`` pool edges, has
-    # n - cc_pre distinct edges of the pre-graph, so it spans the pre-graph
-    # exactly when it is acyclic: when its extra edges join distinct trees
-    # of the kept forest and close no cycle among them. Only their endpoints
-    # change degree, so each candidate costs O(need), not O(n)
-    parent = {v: v for e in (*kept, *pool_edges) for v in e}
+    # one pass over the forest: its degrees, the check that it spans g (every
+    # edge in g and no cycle, given its size) and the union-find of its kept
+    # part, the edges the step did not add; a checked kept edge is a
+    # pre-graph edge, so the kept part is acyclic in the pre-graph too
+    parent: dict[int, int] = {}
 
     def find(a: int) -> int:
-        while parent[a] != a:
+        while parent.setdefault(a, a) != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    degree: Counter[int] = Counter()
-    for u, v in kept:
-        degree[u] += 1
-        degree[v] += 1
-        parent[find(u)] = find(v)
-    kept_leaves = sum(1 for d in degree.values() if d == 1)
-    root = {v: find(v) for e in pool_edges for v in e}
+    def join(u: int, v: int) -> None:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ReconstructionError("input forest does not span the reduced graph")
+        parent[ru] = rv
 
+    degree = Counter(itertools.chain.from_iterable(forest))
+    back = []  # the forest edges the step added
+    for e in forest:
+        u, v = e
+        if not g.has_edge(u, v):
+            raise ReconstructionError("input forest does not span the reduced graph")
+        if e in added:
+            back.append(e)
+        else:
+            join(u, v)
+    # revert drops the added edges and restores the removed ones, so the
+    # removed edges hold every pre-graph edge at a removed vertex
+    removed = {edge_key(u, v) for u, v in step.removed_edges}
+    pool_edges = sorted(e for e in removed if e not in forest or e in added)  # not kept
+    root = {v: find(v) for e in pool_edges for v in e}
+    for u, v in back:
+        join(u, v)
+    leaves_after = list(degree.values()).count(1)
+    # a spanning forest has one tree per component of two or more vertices
+    nontrivial = len(degree) - len(forest)
+    degree_after = {v: g.degree(v) for v in step.touched() if g.has_vertex(v)}
+    step.revert(g)
+    kept_leaves = leaves_after
+    for v in (v for e in back for v in e):
+        kept_leaves += (degree[v] == 2) - (degree[v] == 1)
+        degree[v] -= 1
+    need = (g.n - cc_before) - (len(forest) - len(back))
+
+    # every candidate, the kept forest plus ``need`` pool edges, has
+    # n - cc_before distinct edges of the pre-graph, so it spans the
+    # pre-graph exactly when it is acyclic: when its extra edges join
+    # distinct trees of the kept forest and close no cycle among them. Only
+    # their endpoints change degree, so each candidate costs O(need), not O(n)
     best: tuple[tuple[int, int], ...] | None = None
     best_leaves = -1
     for extra in itertools.combinations(pool_edges, need):
@@ -695,27 +777,31 @@ def _lift(
         # reduced graph carry a stronger leaf guarantee, worth 2/3 here;
         # only a touched vertex can change its degree
         slack = 0
-        if nontrivial <= cc_pre:
+        if nontrivial <= cc_before:
             made_goober = any(
-                g_after.has_vertex(v)
-                and g_after.degree(v) <= 2
-                and (v in step.added_vertices or (g_before.has_vertex(v) and g_before.degree(v) >= 3))
-                for v in step.touched()
+                d <= 2 and (v in step.added_vertices or (g.has_vertex(v) and g.degree(v) >= 3))
+                for v, d in degree_after.items()
             )
             slack = 2 if made_goober else 0
         if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
             raise ReconstructionError("lift misses the reconstruction bound")
-    return kept | set(best)
+    forest.difference_update(back)
+    forest.update(best)
 
 
 def reconstruct_chain(
     g_start: Graph, steps: list[ReductionStep], forest_edges: set[tuple[int, int]]
 ) -> set[tuple[int, int]]:
-    """Undo a whole trace: lift a forest of the final graph to the start."""
-    graphs = [g_start]
+    """Undo a whole trace: lift a forest of the final graph to the start.
+    One copy of g_start is taken forward through the steps in place and then
+    lifted back one step at a time; the component counts come from one count
+    of g_start, carried through each step's component_delta."""
+    g = g_start.copy()
+    counts = [components_meeting(g, g.vertices)]
     for step in steps:
-        graphs.append(step.replay(graphs[-1]))
-    edges = {edge_key(u, v) for u, v in forest_edges}
+        step.apply(g)
+        counts.append(counts[-1] + step.component_delta)
+    forest = {edge_key(u, v) for u, v in forest_edges}
     for i in reversed(range(len(steps))):
-        edges = _lift(graphs[i], graphs[i + 1], steps[i], edges)
-    return edges
+        _lift(g, steps[i], forest, counts[i + 1], counts[i])
+    return forest

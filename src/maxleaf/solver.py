@@ -535,22 +535,14 @@ def _search_forced_sets(s, big, k, host_leaf_count, stats) -> frozenset[int] | N
 
 def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, int]]:
     """Witness tree for the counting shortcuts: the expansion tree, else the
-    greedy builder's tree, else the forced-set search, counted in
-    ``stats``. Degree-1 vertices are leaves of every spanning tree, and
-    every spanning tree of two or more vertices has 2 leaves, so only the
-    ratio shortcut (k >= 3 at 3k or more degree-3 vertices) can get past
-    the expansion tree."""
-    from .potential import greedy_spanning_tree
-
+    forced-set search, counted in ``stats``. Degree-1 vertices are leaves
+    of every spanning tree, and every spanning tree of two or more vertices
+    has 2 leaves, so only the ratio shortcut (k >= 3 at 3k or more degree-3
+    vertices) can get past the expansion tree; it has met k on every such
+    instance tried."""
     edges = expansion_tree(g)
     stats.probe_leaves = tree_leaf_count(edges)
     if stats.probe_leaves >= k:
-        return edges
-    try:
-        edges = sorted(greedy_spanning_tree(g)[0])
-    except GraphError:
-        pass  # the expansion tree stays
-    if tree_leaf_count(edges) >= k:
         return edges
     s = suppress(g)
     hit = _search(g, s, k, stats)

@@ -75,6 +75,80 @@ def random_loopless_multigraph(n: int, m: int, rng: random.Random) -> Graph:
     return g
 
 
+# -- test-only views of library structures ---------------------------------------
+
+
+def flower_roles(j: int = 0) -> dict[str, int]:
+    """Vertex ids of the j-th flower inside a flowerbed."""
+    off = 13 * j
+    names = ["b", "a1", "a2", "a3", "a4", "c1", "c2", "f1", "f2", "h", "s", "g1", "g2"]
+    return {name: off + idx for idx, name in enumerate(names, start=1)}
+
+
+def expand_back(s) -> Graph:
+    """Rebuild the host graph of a suppressed graph from its stored paths."""
+    g = Graph(vertices=s.vertices)
+    for e in s.sedges:
+        for a, b in zip(e.path, e.path[1:]):
+            g.add_edge(a, b)
+    return g
+
+
+def verify_match(g: Graph, m) -> bool:
+    """Re-check a pattern match edge by edge against its canonical pattern,
+    independently of the detectors."""
+    from maxleaf.patterns import (
+        KIND_2BLOSSOM,
+        KIND_2NECKLACE,
+        KIND_2T_BLOSSOM,
+        KIND_2T_DIAMOND,
+        KIND_CUBIC_DIAMOND,
+    )
+
+    vs = m.vertices
+    if len(set(vs)) != len(vs):
+        return False
+    if m.kind in (KIND_CUBIC_DIAMOND, KIND_2T_DIAMOND):
+        c1, i1, i2, c2 = vs
+        need = [(c1, i1), (c1, i2), (c2, i1), (c2, i2), (i1, i2)]
+        if not all(g.has_edge(a, b) for a, b in need):
+            return False
+        if g.degree(i1) != 3 or g.degree(i2) != 3:
+            return False
+        if m.kind == KIND_CUBIC_DIAMOND:
+            return g.degree(c1) == 3 and g.degree(c2) == 3 and not g.has_edge(c1, c2)
+        return g.degree(c1) >= 3 and g.degree(c2) >= 3
+    if m.kind == KIND_2NECKLACE:
+        if len(vs) != 3 * m.k + 1:
+            return False
+        for j in range(m.k):
+            c1, i1, i2, c2 = vs[3 * j], vs[3 * j + 1], vs[3 * j + 2], vs[3 * j + 3]
+            need = [(c1, i1), (c1, i2), (c2, i1), (c2, i2), (i1, i2)]
+            if not all(g.has_edge(a, b) for a, b in need):
+                return False
+            if g.degree(i1) != 3 or g.degree(i2) != 3:
+                return False
+        junctions = [vs[3 * j] for j in range(1, m.k)]
+        if any(g.degree(j) != 4 for j in junctions):
+            return False
+        return g.degree(vs[0]) == 3 and g.degree(vs[-1]) == 3
+    if m.kind in (KIND_2BLOSSOM, KIND_2T_BLOSSOM):
+        b, a1, a2, a3, a4, c1, c2 = vs
+        need = [
+            (b, a1), (b, a2), (b, a3), (b, a4),
+            (a1, a2), (a3, a4),
+            (c1, a1), (c1, a4), (c2, a2), (c2, a3),
+        ]
+        if not all(g.has_edge(x, y) for x, y in need):
+            return False
+        if g.degree(b) != 4 or any(g.degree(a) != 3 for a in (a1, a2, a3, a4)):
+            return False
+        if m.kind == KIND_2BLOSSOM:
+            return g.degree(c1) == 3 and g.degree(c2) == 3
+        return g.degree(c1) >= 3 and g.degree(c2) >= 3
+    return False
+
+
 # -- degree recount ---------------------------------------------------------------
 
 
@@ -493,6 +567,61 @@ def whole_graph_lift(g_before: Graph, g_after: Graph, step, forest_edges):
         if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
             raise ReconstructionError("lift misses the reconstruction bound")
     return best
+
+
+# -- the reduction loop and the lift as full rescans over replayed graphs ---------
+
+
+def reference_reduce(g: Graph, rules) -> tuple[Graph, list]:
+    """``reductions._reduce`` as a full rescan and a copy per candidate:
+    every rule's matches found afresh on the whole graph before each step,
+    each candidate replayed on a copy, and its component change counted
+    over both whole graphs. Same order, admissions and steps; the reference
+    for the loop that works in place on cached matches."""
+    from dataclasses import replace
+
+    from maxleaf.patterns import check_invariant
+    from maxleaf.reductions import FPT_RULES, _shared_end_reason, build_plan, find_matches
+
+    def vet(cur: Graph, match):
+        r, rid = match.roles, match.rule_id
+        if _shared_end_reason(cur, match):
+            return None
+        plan = build_plan(cur, match)
+        after = plan.replay(cur)
+        split = len(naive_components(after)) - len(naive_components(cur))
+        touched = plan.touched()
+        n3 = [sum(1 for v in touched if h.has_vertex(v) and h.degree(v) >= 3) for h in (cur, after)]
+        step = replace(plan, delta_n3=n3[0] - n3[1], component_delta=split)
+        if rid not in FPT_RULES:
+            if rid in ("R3", "R5") and split or rid == "R4" and split <= 0:
+                return None
+            if rid == "R3" and cur.has_edge(r["u"], r["w"]) or check_invariant(after).violated_clause:
+                return None
+        return step, after
+
+    cur, steps = g.copy(), []
+    while True:
+        for match in (m for rule_id in rules for m in find_matches(cur, rule_id)):
+            hit = vet(cur, match)
+            if hit is not None:
+                step, cur = hit
+                steps.append(step)
+                break
+        else:
+            return cur, steps
+
+
+def reference_chain(g_start: Graph, steps, forest_edges):
+    """``reductions.reconstruct_chain`` as one replayed graph per step and a
+    whole-graph lift over each pair of them."""
+    graphs = [g_start]
+    for step in steps:
+        graphs.append(step.replay(graphs[-1]))
+    edges = set(forest_edges)
+    for i in reversed(range(len(steps))):
+        edges = whole_graph_lift(graphs[i], graphs[i + 1], steps[i], edges)
+    return edges
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from maxleaf.generators import (
     blossom,
     family_names,
     flower,
-    flower_roles,
     flowerbed,
     g7,
     generate,
@@ -21,7 +20,7 @@ from maxleaf.generators import (
 from maxleaf.patterns import check_invariant, find_2blossoms, find_2necklaces, find_cubic_diamonds
 from maxleaf.solver import exact_max_leaves
 
-from conftest import naive_bridges_and_cuts
+from conftest import flower_roles, naive_bridges_and_cuts
 
 
 def test_q3_shape():

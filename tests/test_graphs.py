@@ -23,7 +23,7 @@ from maxleaf.graphs import (
 )
 from maxleaf.generators import flowerbed, flower, g7, q3
 
-from conftest import naive_components, random_multigraph, recount_degrees
+from conftest import expand_back, naive_components, random_multigraph, recount_degrees
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_suppress_degree_preserved_and_round_trip(rng):
             mids.extend(e.path[1:-1])
         assert sorted(mids) == sorted(v for v in g.vertices if g.degree(v) == 2)
         # paths tile the edge set exactly
-        assert s.expand_back() == g
+        assert expand_back(s) == g
 
 
 def test_suppress_requires_connected():

@@ -12,10 +12,9 @@ from maxleaf.patterns import (
     find_2necklaces,
     find_2terminal,
     find_cubic_diamonds,
-    verify_match,
 )
 
-from conftest import brute_2blossoms, brute_cubic_diamonds, random_connected
+from conftest import brute_2blossoms, brute_cubic_diamonds, random_connected, verify_match
 
 
 # -- cubic diamonds -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,12 +11,14 @@ from maxleaf.generators import (
     flowerbed,
     g7,
     necklace,
+    necklace_ring,
     q3,
     random_invariant_graph,
 )
 from maxleaf import reductions
 from maxleaf.patterns import check_invariant
 from maxleaf.reductions import (
+    FPT_RULES,
     HIGH_RULES,
     LOW_RULES,
     InadmissibleError,
@@ -349,13 +352,16 @@ def test_each_rule_application_is_checked_once(monkeypatch):
             raise AssertionError(f"{name} called during reduction")
         return fail
 
-    replays = 0
-    replay = ReductionStep.replay
+    calls = Counter()
 
-    def counting_replay(step, g):
-        nonlocal replays
-        replays += 1
-        return replay(step, g)
+    def counting(name):
+        method = getattr(ReductionStep, name)
+
+        def counted(step, g):
+            calls[name] += 1
+            return method(step, g)
+
+        return counted
 
     for n, degree, seed in ((16, 3, 1), (20, 2, 7)):
         g = random_invariant_graph(n, degree, seed=seed)
@@ -368,10 +374,12 @@ def test_each_rule_application_is_checked_once(monkeypatch):
         assert steps
         forest = exact_forest(reduced)
         with monkeypatch.context() as patch:
-            patch.setattr(ReductionStep, "replay", counting_replay)
-            replays = 0
+            # the lift takes one copy forward and back: each step once each way
+            for name in ("apply", "revert", "replay", "undo"):
+                patch.setattr(ReductionStep, name, counting(name))
+            calls.clear()
             reconstruct_chain(g, steps, forest)
-        assert replays == len(steps)
+        assert calls == {"apply": len(steps), "revert": len(steps)}
 
 
 def test_invariant_preserved_along_reductions(rng):
@@ -546,9 +554,9 @@ def random_spanning_forest(g, rng):
     return forest
 
 
-def _lift_or_error(lift, g_before, g_after, step, forest):
+def _lift_or_error(lift, *args):
     try:
-        return lift(g_before, g_after, step, set(forest))
+        return lift(*args)
     except ReconstructionError as exc:
         return str(exc)
 
@@ -588,13 +596,148 @@ def test_lift_matches_whole_graph_reference(rng):
         chain = random_spanning_forest(graphs[-1], rng)
         for i in reversed(range(len(steps))):
             rules.add(steps[i].rule_id)
-            args = graphs[i], graphs[i + 1], steps[i]
             for forest in [chain] + [random_spanning_forest(graphs[i + 1], rng) for _ in range(3)]:
-                got = _lift_or_error(reductions._lift, *args, forest)
-                assert got == _lift_or_error(whole_graph_lift, *args, forest), (steps[i].rule_id, sorted(forest))
+                got = _lift_or_error(reconstruct_tree, graphs[i], steps[i], forest)
+                want = _lift_or_error(whole_graph_lift, graphs[i], graphs[i + 1], steps[i], forest)
+                assert got == want, (steps[i].rule_id, sorted(forest))
                 compared += 1
-            chain = reductions._lift(*args, chain)
+            chain = reconstruct_tree(graphs[i], steps[i], chain)
     assert compared >= 300 and {"F1", "F2"} <= rules and len(rules) >= 5, (compared, rules)
+
+
+# -- the loop and the lift on one graph against full rescans ---------------------------
+
+
+@pytest.fixture
+def checked_cache(monkeypatch):
+    """Check after every refresh of the reduction loop that each rule's
+    cached matches are the ones a full scan of the graph finds, in order.
+    Yields the number of cached matches checked per rule."""
+    refresh = reductions._refresh
+    checked = Counter()
+
+    def refresh_and_check(g, cache, touched):
+        refresh(g, cache, touched)
+        for rule_id, matches in cache.items():
+            assert matches == find_matches(g, rule_id), (rule_id, sorted(touched))
+            checked[rule_id] += len(matches)
+
+    monkeypatch.setattr(reductions, "_refresh", refresh_and_check)
+    return checked
+
+
+def test_refresh_keeps_each_rule_cache_equal_to_a_full_scan(rng):
+    """Random local edits (an edge added or removed, a vertex removed or
+    added) on graphs with many degree-2 and degree-3 vertices; after each,
+    refreshing around the edited vertices leaves every rule's cache equal to
+    a full scan. A reach one short of a rule's farthest role drops matches
+    whose only edited role sits there."""
+    from conftest import plant_blossom, plant_diamond
+
+    rules = LOW_RULES + HIGH_RULES + FPT_RULES
+    found = Counter()
+    for trial in range(60):
+        g = random_connected(rng.randint(8, 16), rng.randint(2, 10), rng)
+        for u, v in rng.sample(sorted(set(g.edges())), g.m // 2):  # subdivide
+            w = max(g.vertices) + 1
+            g.remove_edge(u, v)
+            g.add_edge(u, w)
+            g.add_edge(w, v)
+        for _ in range(trial % 4):
+            g = plant_diamond(g, rng) if rng.random() < 0.5 else plant_blossom(g, rng)
+        cache = {rule_id: find_matches(g, rule_id) for rule_id in rules}
+        for _ in range(12):
+            action = rng.random()
+            if action < 0.2 and g.n > 4:
+                v = rng.choice(sorted(g.vertices))
+                touched = {v} | g.neighbors(v)
+                g.remove_vertex(v)
+            elif action < 0.3:
+                v, ends = max(g.vertices) + 1, rng.sample(sorted(g.vertices), 2)
+                touched = {v, *ends}
+                for w in ends:
+                    g.add_edge(v, w)
+            else:
+                u, v = rng.sample(sorted(g.vertices), 2)
+                touched = {u, v}
+                if g.has_edge(u, v):
+                    g.remove_edge(u, v)
+                else:
+                    g.add_edge(u, v)
+            reductions._refresh(g, cache, touched)
+            for rule_id in rules:
+                assert cache[rule_id] == find_matches(g, rule_id), (trial, rule_id)
+                found[rule_id] += len(cache[rule_id])
+    assert all(found[rule_id] for rule_id in rules), found
+
+
+def _check_against_references(g, reduce, rules, rng) -> list[ReductionStep]:
+    """The loop's steps and reduced graph against the full-rescan loop's,
+    and the chain's lift of a random spanning forest of the reduced graph
+    against the lift over replayed graphs (the same tree, or the same
+    error)."""
+    from conftest import reference_chain, reference_reduce
+
+    reduced, steps = reduce(g)
+    want_graph, want_steps = reference_reduce(g, rules)
+    assert steps == want_steps and reduced == want_graph, sorted(g.edges())
+    forest = random_spanning_forest(reduced, rng)
+    got = _lift_or_error(reconstruct_chain, g, steps, forest)
+    assert got == _lift_or_error(reference_chain, g, steps, forest), sorted(g.edges())
+    return steps
+
+
+def _fuzz_graph(seed: int, i: int):
+    """Graph ``i`` of scripts/reduction_fuzz.py at ``seed``, or None."""
+    try:
+        return random_invariant_graph(6 + i % 9, 3 if i % 2 == 0 else 2, seed=seed * 100000 + i)
+    except GeneratorError:
+        return None
+
+
+def test_fpt_loop_matches_full_rescan(rng, checked_cache):
+    from conftest import plant_blossom, plant_diamond
+
+    graphs = [flowerbed(i) for i in range(2, 9)] + [necklace_ring(r) for r in range(2, 9)]
+    for n in range(10, 31):
+        try:
+            graphs.append(random_invariant_graph(n, 2 + n % 2, seed=n))
+        except GeneratorError:
+            pass
+    for i in range(60):
+        g = random_connected(rng.randint(4, 10), rng.randint(0, 3), rng)
+        for _ in range(1 + i % 3):
+            g = plant_diamond(g, rng) if rng.random() < 0.5 else plant_blossom(g, rng)
+        graphs.append(g)
+    rules = Counter()
+    for g in graphs:
+        steps = _check_against_references(g, lambda h: reductions._reduce(h, FPT_RULES), FPT_RULES, rng)
+        rules.update(step.rule_id for step in steps)
+    assert rules["F1"] >= 30 and rules["F2"] >= 30, rules
+    assert checked_cache["F1"] and checked_cache["F2"], checked_cache
+
+
+def test_rule_loop_matches_full_rescan(rng, checked_cache):
+    rules = Counter()
+    for seed, i in itertools.product((0, 1), range(200)):
+        g = _fuzz_graph(seed, i)
+        if g is not None:
+            steps = _check_against_references(g, reduce_to_irreducible, LOW_RULES + HIGH_RULES, rng)
+            rules.update(step.rule_id for step in steps)
+    assert len(rules) >= 9, rules
+    assert len(checked_cache) == len(LOW_RULES + HIGH_RULES), checked_cache
+
+
+@pytest.mark.parametrize("rule_id, rounds", [("L3", (89, 147)), ("L4", (7, 43, 141, 161)), ("L5", (7,))])
+def test_rare_rule_loop_matches_full_rescan(rule_id, rounds, rng, checked_cache):
+    # the seed-1 fuzz graphs on which the rule applies, as single-rule
+    # reductions; the full reductions of the fuzz corpus rarely reach it
+    applied = 0
+    for i in rounds:
+        g = _fuzz_graph(1, i)
+        steps = _check_against_references(g, lambda h: reductions._reduce(h, (rule_id,)), (rule_id,), rng)
+        applied += len(steps)
+    assert applied >= len(rounds)
 
 
 def test_reconstruct_r5_keeps_the_tree():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf import graphs, potential, solver
+from maxleaf import graphs, solver
 from maxleaf.graphs import Graph, GraphError, graph_leaves, parse_graph, suppress, vertices_ge3
 from maxleaf.generators import flower, flowerbed, g7, necklace, necklace_ring, q3, random_invariant_graph
 from maxleaf.solver import (
@@ -547,14 +547,13 @@ def dfs_tree(g):
         edges.append((stack[-1], nxt[0]))
         seen.add(nxt[0])
         stack.append(nxt[0])
-    return edges, None
+    return edges
 
 
 def test_stats_count_shortcut_fallback(monkeypatch):
     # a path with chords i -- i+6: ten degree-3 vertices, so the ratio
-    # shortcut fires at k=3, and an expansion tree and a greedy builder both
-    # returning the path itself leave the forced-set search to find the
-    # witness
+    # shortcut fires at k=3, and an expansion tree returning the path itself
+    # leaves the forced-set search to find the witness
     g = Graph(edges=[(i, i + 1) for i in range(1, 12)] + [(i, i + 6) for i in range(1, 7)])
     calls = []
 
@@ -562,8 +561,7 @@ def test_stats_count_shortcut_fallback(monkeypatch):
         calls.append(q.forced)
         return achievable_leaves(q)
 
-    monkeypatch.setattr(potential, "greedy_spanning_tree", dfs_tree)
-    monkeypatch.setattr(solver, "expansion_tree", lambda g: dfs_tree(g)[0])
+    monkeypatch.setattr(solver, "expansion_tree", dfs_tree)
     monkeypatch.setattr(solver, "achievable_leaves", counted)
     v = fpt_decide(g, 3, want_witness=True)
     assert v.is_yes and verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= 3
