@@ -23,8 +23,8 @@ import time
 from fractions import Fraction
 
 from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
-from maxleaf.graphs import n_ge3, tree_leaf_count
-from maxleaf.potential import greedy_spanning_tree
+from maxleaf.graphs import tree_leaf_count
+from maxleaf.potential import greedy_spanning_tree, theorem_bound
 from maxleaf.solver import exact_max_leaves, expansion_tree, fpt_decide
 
 
@@ -67,14 +67,13 @@ def solve_threshold(name, g, expected):
 
 def check_theorem(n, target, seed):
     g = random_invariant_graph(n, target, seed)
-    min_degree = g.min_degree()
-    bound = Fraction(n_ge3(g), 3) + (Fraction(4, 3) if min_degree >= 3 else 2)
+    bound = theorem_bound(g)
     best, _ = exact_max_leaves(g)
     ok = best >= bound
     probe, probe_ok = check_expansion(g, best)
     name = f"random({n},{target},{seed})"
     print(
-        f"{name:<18} n={g.n:<4} min-degree={min_degree} optimum={best:<3} "
+        f"{name:<18} n={g.n:<4} min-degree={g.min_degree()} optimum={best:<3} "
         f"bound={fmt(bound)}{'' if ok else ' VIOLATED'} {probe}"
     )
     return ok and probe_ok

@@ -21,6 +21,7 @@ from fractions import Fraction
 from maxleaf.generators import GeneratorError, random_invariant_graph
 from maxleaf.graphs import Graph, connected_components, n_ge3, tree_leaf_count
 from maxleaf.patterns import check_invariant
+from maxleaf.potential import heuristic_bound
 from maxleaf.reductions import (
     HIGH_RULES,
     LOW_RULES,
@@ -98,8 +99,7 @@ def main():
         if len(lifted) != g.n - 1:
             violations += 1
             print(f"round {i}: chain lift is not a spanning tree")
-        bound = Fraction(n_ge3(g), 3) + Fraction(4, 3)
-        if Fraction(tree_leaf_count(lifted)) >= bound:
+        if tree_leaf_count(lifted) >= heuristic_bound(g):
             chain_ratio_hits += 1
 
     print(f"\n{pipelines} single-rule pipelines, applications: {dict(rule_tally)}")

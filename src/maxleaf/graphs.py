@@ -1,6 +1,6 @@
 """Mutable multigraph over integer vertex ids, the derived structures
 (degree-2 suppression, subgraphs) everything else builds on, and the shared
-primitives: component counting and leaf counting.
+primitives: the union-find, the component walk and leaf counting.
 
 Vertex ids are stable: deleting a vertex leaves a hole instead of renumbering,
 so recorded matches and reduction traces stay valid across mutations.
@@ -216,42 +216,28 @@ def tree_leaf_count(edges: Iterable[tuple[int, int]]) -> int:
 
 # -- connectivity -------------------------------------------------------------
 
-def _component_of(g: Graph, start: int) -> set[int]:
-    """Vertices reachable from ``start``, breadth first."""
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return comp
+def find(parent, a: int) -> int:
+    """Root of ``a`` in the union-find forest ``parent``, a list or a dict in
+    which each root maps to itself; halves the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertices into maximal connected sets."""
-    seen: set[int] = set()
-    parts: list[frozenset[int]] = []
-    for start in sorted(g.vertices):
-        if start not in seen:
-            comp = _component_of(g, start)
-            seen |= comp
-            parts.append(frozenset(comp))
-    return parts
-
-
-def components_meeting(g: Graph, vs: Iterable[int]) -> int:
-    """Number of components of g that hold a vertex of ``vs`` (all of them
-    vertices of g). Each walk stops once it has met every vertex of ``vs``
-    not yet reached, so vertices joined near each other cost a local walk;
-    only a walk that misses one covers its whole component. Over every
-    vertex of g it counts all the components."""
+def component_walks(g: Graph, vs: Iterable[int]) -> Iterator[set[int]]:
+    """One breadth-first walk per component of g holding a vertex of ``vs``
+    (vertices of g), started at its first vertex in ``vs``; yields the
+    vertices each walk reached. A walk stops once it has met every vertex
+    of ``vs`` not yet reached, so vertices joined near each other cost a
+    local walk. Over every vertex of g, each walk covers its component: it
+    stops early only when no vertex is left unreached."""
+    vs = list(vs)
     left = set(vs)
-    count = 0
-    while left:
-        start = left.pop()
-        count += 1
+    for start in vs:
+        if start not in left:
+            continue
+        left.discard(start)
         seen = {start}
         queue = deque([start])
         while queue and left:
@@ -260,13 +246,23 @@ def components_meeting(g: Graph, vs: Iterable[int]) -> int:
                     seen.add(w)
                     left.discard(w)
                     queue.append(w)
-    return count
+        yield seen
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Partition of the vertices into maximal connected sets, by least vertex."""
+    return [frozenset(part) for part in component_walks(g, sorted(g._adj))]
+
+
+def components_meeting(g: Graph, vs: Iterable[int]) -> int:
+    """Number of components of g that hold a vertex of ``vs`` (all of them
+    vertices of g); over every vertex of g, all the components."""
+    return sum(1 for _ in component_walks(g, vs))
 
 
 def is_connected(g: Graph) -> bool:
     """One walk from any vertex: connected when it reaches all of them."""
-    start = next(iter(g._adj), None)
-    return start is None or len(_component_of(g, start)) == g.n
+    return len(next(component_walks(g, g._adj), ())) == g.n
 
 
 def component_count(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> int:
@@ -274,15 +270,8 @@ def component_count(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -
     endpoints must all be among the vertices (union-find)."""
     parent = {v: v for v in vertices}
     count = len(parent)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             count -= 1
@@ -445,15 +434,6 @@ class SuppressedGraph:
 
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for e in self.sedges:
-            if e.is_loop:
-                d += 2 if e.u == v else 0
-            else:
-                d += (e.u == v) + (e.v == v)
-        return d
 
     def to_json_dict(self) -> dict:
         return {
@@ -621,16 +601,10 @@ class SubgraphF:
         an old vertex whenever the group holds one. Only a merge of two groups
         that both hold old vertices, which may already share a component,
         needs a count over the whole grown subgraph."""
-        parent: dict[int, int] = {}
-
-        def find(a: int) -> int:
-            while parent.get(a, a) != a:
-                a = parent[a]
-            return a
-
+        parent = {v: v for e in added for v in e}
         count = self.cc + len(fresh)
         for u, v in added:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 continue
             if ru in fresh:

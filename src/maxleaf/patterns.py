@@ -1,8 +1,8 @@
 """Detection of the small forbidden structures: diamonds, diamond necklaces,
 blossoms, their two-terminal variants, and the reduction-safety invariant.
 
-All detectors are deterministic: candidates are grown from seeds in sorted
-vertex order and reported in a canonical role order. The matchers the
+All detectors are deterministic: candidates are grown from start vertices
+in sorted order and reported in a canonical role order. The matchers the
 reduction rules share take an optional set of start vertices: without one
 they scan the whole graph, with one only the structures grown from those
 vertices.
@@ -194,7 +194,7 @@ def _chain_role_order(g: Graph, chain: list[_Block]) -> tuple[tuple[int, ...], i
     return tuple(verts), c1, c2
 
 
-def find_2necklaces(g: Graph, seeds: set[int] | None = None) -> list[PatternMatch]:
+def find_2necklaces(g: Graph) -> list[PatternMatch]:
     """Maximal diamond chains whose only terminals are the two free end
     connectors, both of host degree 3. The edge c1-c2 may exist (the closed
     form); every other extra adjacency is excluded by the exact-degree
@@ -209,8 +209,6 @@ def find_2necklaces(g: Graph, seeds: set[int] | None = None) -> list[PatternMatc
         if g.degree(c1) != 3 or g.degree(c2) != 3 or c1 == c2:
             continue
         matches.append(PatternMatch(KIND_2NECKLACE, verts, tuple(sorted((c1, c2))), k=len(chain)))
-    if seeds is not None:
-        matches = [m for m in matches if m.vertex_set() & seeds]
     return _one_per_vertex_set(matches)
 
 
@@ -238,9 +236,7 @@ def _bowties(g: Graph, starts=None):
                 yield b, pair1, pair2, tuple(next(iter(rest)) for rest in ends)
 
 
-def _blossom_matches(
-    g: Graph, exact_terminal_degree: bool, seeds: set[int] | None = None, starts=None
-) -> list[PatternMatch]:
+def _blossom_matches(g: Graph, exact_terminal_degree: bool, starts=None) -> list[PatternMatch]:
     """Blossom subgraphs whose only terminals are the two connector vertices.
     ``exact_terminal_degree`` asks for host degree exactly 3 at the
     connectors; otherwise any degree above 2 qualifies."""
@@ -260,20 +256,15 @@ def _blossom_matches(
         degrees = (g.degree(c1), g.degree(c2))
         if min(degrees) < 3 or (exact_terminal_degree and max(degrees) != 3):
             continue
-        match = PatternMatch(
-            KIND_2BLOSSOM if exact_terminal_degree else KIND_2T_BLOSSOM,
-            (b, a1, a2, a3, a4, c1, c2),
-            tuple(sorted((c1, c2))),
-        )
-        if seeds is None or match.vertex_set() & seeds:
-            out.append(match)
+        kind = KIND_2BLOSSOM if exact_terminal_degree else KIND_2T_BLOSSOM
+        out.append(PatternMatch(kind, (b, a1, a2, a3, a4, c1, c2), tuple(sorted((c1, c2)))))
     return _one_per_vertex_set(out)
 
 
-def find_2blossoms(g: Graph, seeds: set[int] | None = None) -> list[PatternMatch]:
+def find_2blossoms(g: Graph) -> list[PatternMatch]:
     """Blossoms whose only terminals are their two connectors, both of host
     degree 3."""
-    return _blossom_matches(g, exact_terminal_degree=True, seeds=seeds)
+    return _blossom_matches(g, exact_terminal_degree=True)
 
 
 def find_2terminal(g: Graph, kind: str, starts: Iterable[int] | None = None) -> list[PatternMatch]:
@@ -338,7 +329,7 @@ def introduces_forbidden(before: Graph, after: Graph, touched: set[int]) -> Patt
     vertex set and was not already present in ``before``."""
     old = {m.vertex_set() for m in find_2necklaces(before)}
     old |= {m.vertex_set() for m in find_2blossoms(before)}
-    for m in find_2necklaces(after, seeds=touched) + find_2blossoms(after, seeds=touched):
-        if m.vertex_set() not in old:
+    for m in find_2necklaces(after) + find_2blossoms(after):
+        if m.vertex_set() & touched and m.vertex_set() not in old:
             return m
     return None

@@ -209,3 +209,10 @@ def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialRepor
 def heuristic_bound(g: Graph) -> Fraction:
     """The ratio the toolkit reports greedy trees against."""
     return Fraction(n_ge3(g), 3) + Fraction(4, 3)
+
+
+def theorem_bound(g: Graph) -> Fraction:
+    """The paper's theorem: an invariant-satisfying graph has a spanning
+    tree with at least n≥3/3 + 4/3 leaves at minimum degree 3 and n≥3/3 + 2
+    when lower degrees occur, n≥3 counting the vertices of degree 3 or more."""
+    return Fraction(n_ge3(g), 3) + (Fraction(4, 3) if g.min_degree() >= 3 else 2)

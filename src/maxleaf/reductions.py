@@ -25,9 +25,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import Iterable
 
-from .graphs import Graph, GraphError, components_meeting, edge_key, is_goober
+from .graphs import Graph, GraphError, components_meeting, edge_key, find, is_goober
 from .patterns import (
     KIND_2BLOSSOM,
     KIND_2NECKLACE,
@@ -117,18 +118,6 @@ class ReductionStep:
         for u, v in self.removed_edges:
             g.add_edge(u, v)
 
-    def replay(self, g: Graph) -> Graph:
-        """The post-state of a graph in the pre-state, as a new graph."""
-        out = g.copy()
-        self.apply(out)
-        return out
-
-    def undo(self, g: Graph) -> Graph:
-        """The pre-state of a graph in the post-state, as a new graph."""
-        out = g.copy()
-        self.revert(out)
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "rule": self.rule_id,
@@ -144,13 +133,16 @@ class ReductionStep:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReductionStep":
+        """The step of a JSON record; a vertex that is not an integer (a
+        float is not truncated) or an edge that is not a pair raises
+        TypeError or ValueError."""
         return cls(
             rule_id=d["rule"],
             roles=tuple(sorted((k, int(v)) for k, v in d["roles"].items())),
-            removed_vertices=tuple(d["removed_vertices"]),
-            removed_edges=tuple(tuple(e) for e in d["removed_edges"]),
-            added_vertices=tuple(d["added_vertices"]),
-            added_edges=tuple(tuple(e) for e in d["added_edges"]),
+            removed_vertices=tuple(map(index, d["removed_vertices"])),
+            removed_edges=tuple((index(u), index(v)) for u, v in d["removed_edges"]),
+            added_vertices=tuple(map(index, d["added_vertices"])),
+            added_edges=tuple((index(u), index(v)) for u, v in d["added_edges"]),
             delta_n3=d["delta_n3"],
             component_delta=d["component_delta"],
             delta_k=d.get("delta_k", 0),
@@ -698,17 +690,12 @@ def _lift(
     # one pass over the forest: its degrees, the check that it spans g (every
     # edge in g and no cycle, given its size) and the union-find of its kept
     # part, the edges the step did not add; a checked kept edge is a
-    # pre-graph edge, so the kept part is acyclic in the pre-graph too
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    # pre-graph edge, so the kept part is acyclic in the pre-graph too. The
+    # pool edges below also end at removed vertices, each its own root
+    parent = {v: v for v in itertools.chain(g._adj, step.removed_vertices)}
 
     def join(u: int, v: int) -> None:
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
             raise ReconstructionError("input forest does not span the reduced graph")
         parent[ru] = rv
@@ -727,7 +714,8 @@ def _lift(
     # removed edges hold every pre-graph edge at a removed vertex
     removed = {edge_key(u, v) for u, v in step.removed_edges}
     pool_edges = sorted(e for e in removed if e not in forest or e in added)  # not kept
-    root = {v: find(v) for e in pool_edges for v in e}
+    root = {v: find(parent, v) for e in pool_edges for v in e}
+    roots = {r: r for r in root.values()}
     for u, v in back:
         join(u, v)
     leaves_after = list(degree.values()).count(1)
@@ -749,13 +737,9 @@ def _lift(
     best: tuple[tuple[int, int], ...] | None = None
     best_leaves = -1
     for extra in itertools.combinations(pool_edges, need):
-        joined: dict[int, int] = {}  # union-find over the roots the extra edges meet
+        joined = roots.copy()  # union-find over the roots the pool edges meet
         for u, v in extra:
-            a, b = root[u], root[v]
-            while a in joined:
-                a = joined[a]
-            while b in joined:
-                b = joined[b]
+            a, b = find(joined, root[u]), find(joined, root[v])
             if a == b:
                 break
             joined[a] = b

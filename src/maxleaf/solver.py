@@ -33,6 +33,7 @@ from .graphs import (
     SuppressedGraph,
     component_count,
     edge_key,
+    find,
     graph_leaves,
     is_connected,
     n_ge3,
@@ -306,13 +307,6 @@ def _forced_tree(q: ForcedLeafQuery) -> tuple[set[int], int] | None:
     if forced == ix.full or ix.loops & forced:
         return None
     parent = list(range(len(ix.adj)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     tree: set[int] = set()
     attached = 0
     joins_left = len(ix.adj) - forced.bit_count() - 1
@@ -323,7 +317,7 @@ def _forced_tree(q: ForcedLeafQuery) -> tuple[set[int], int] | None:
         hit = pair & forced
         if not hit:
             if joins_left:
-                ra, rb = find(a), find(b)
+                ra, rb = find(parent, a), find(parent, b)
                 if ra != rb:
                     parent[ra] = rb
                     tree.add(eid)

@@ -85,6 +85,11 @@ def flower_roles(j: int = 0) -> dict[str, int]:
     return {name: off + idx for idx, name in enumerate(names, start=1)}
 
 
+def suppressed_degree(s, v: int) -> int:
+    """Degree of v in a suppressed graph: loops count twice."""
+    return sum((e.u == v) + (e.v == v) for e in s.sedges)
+
+
 def expand_back(s) -> Graph:
     """Rebuild the host graph of a suppressed graph from its stored paths."""
     g = Graph(vertices=s.vertices)
@@ -572,6 +577,22 @@ def whole_graph_lift(g_before: Graph, g_after: Graph, step, forest_edges):
 # -- the reduction loop and the lift as full rescans over replayed graphs ---------
 
 
+def replayed_graphs(g: Graph, steps) -> list[Graph]:
+    """g and its state after each step, each its own copy."""
+    graphs = [g]
+    for step in steps:
+        graphs.append(graphs[-1].copy())
+        step.apply(graphs[-1])
+    return graphs
+
+
+def reverted(step, g: Graph) -> Graph:
+    """A copy of g, in a step's post-state, taken back to its pre-state."""
+    out = g.copy()
+    step.revert(out)
+    return out
+
+
 def reference_reduce(g: Graph, rules) -> tuple[Graph, list]:
     """``reductions._reduce`` as a full rescan and a copy per candidate:
     every rule's matches found afresh on the whole graph before each step,
@@ -588,7 +609,8 @@ def reference_reduce(g: Graph, rules) -> tuple[Graph, list]:
         if _shared_end_reason(cur, match):
             return None
         plan = build_plan(cur, match)
-        after = plan.replay(cur)
+        after = cur.copy()
+        plan.apply(after)
         split = len(naive_components(after)) - len(naive_components(cur))
         touched = plan.touched()
         n3 = [sum(1 for v in touched if h.has_vertex(v) and h.degree(v) >= 3) for h in (cur, after)]
@@ -615,9 +637,7 @@ def reference_reduce(g: Graph, rules) -> tuple[Graph, list]:
 def reference_chain(g_start: Graph, steps, forest_edges):
     """``reductions.reconstruct_chain`` as one replayed graph per step and a
     whole-graph lift over each pair of them."""
-    graphs = [g_start]
-    for step in steps:
-        graphs.append(step.replay(graphs[-1]))
+    graphs = replayed_graphs(g_start, steps)
     edges = set(forest_edges)
     for i in reversed(range(len(steps))):
         edges = whole_graph_lift(graphs[i], graphs[i + 1], steps[i], edges)

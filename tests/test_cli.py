@@ -175,6 +175,14 @@ def test_verify_g7_q3(capsys):
     code, out, _ = run(capsys, "verify", "g7", "q3")
     assert code == 0
     assert out.count("PASS") == 2
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS g7 optimum=4",
+        "PASS q3 optimum=4",
+        "PASS flowerbed k=10:YES k=11:NO",
+        "PASS theorem1-sample violations=0/20",
+    ]
 
 
 def test_verify_unknown_check_fails(capsys):
@@ -214,14 +222,30 @@ def test_directory_path_exit_2(capsys, tmp_path, q3_file, option):
     assert code == 2 and err.count("error:") == 1 and "directory" in err
 
 
+def _step_line(**fields) -> str:
+    step = {
+        "rule": "R5", "roles": {}, "removed_vertices": [], "removed_edges": [],
+        "added_vertices": [], "added_edges": [], "delta_n3": 0, "component_delta": 0,
+    }
+    return json.dumps({**step, **fields})
+
+
 @pytest.mark.parametrize(
-    "bad_line", ["{not json", '{"rule": "R5"}'], ids=["not-json", "missing-key"]
+    "bad_line",
+    [
+        "{not json",
+        '{"rule": "R5"}',
+        _step_line(removed_edges=[[1, 2, 3]]),
+        _step_line(added_vertices=[[1]]),
+        _step_line(removed_edges=[[1.9, 2.2]]),
+    ],
+    ids=["not-json", "missing-key", "edge-not-a-pair", "vertex-not-an-int", "vertex-a-float"],
 )
 def test_bad_replay_line_exit_2(capsys, tmp_path, q3_file, bad_line):
     trace = tmp_path / "trace.jsonl"
     trace.write_text("\n" + bad_line + "\n")
     code, _, err = run(capsys, "reduce", q3_file, "--replay", str(trace))
-    assert code == 2 and err.count("error:") == 1 and "line 2" in err
+    assert code == 2 and err.count("error:") == 1 and "line 2: not a step" in err
 
 
 def test_parse_error_exit_2(capsys, tmp_path):

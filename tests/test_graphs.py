@@ -13,6 +13,7 @@ from maxleaf.graphs import (
     RangeError,
     SubgraphF,
     component_count,
+    components_meeting,
     connected_components,
     edge_key,
     is_connected,
@@ -23,7 +24,13 @@ from maxleaf.graphs import (
 )
 from maxleaf.generators import flowerbed, flower, g7, q3
 
-from conftest import expand_back, naive_components, random_multigraph, recount_degrees
+from conftest import (
+    expand_back,
+    naive_components,
+    random_multigraph,
+    recount_degrees,
+    suppressed_degree,
+)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -210,6 +217,10 @@ def test_component_count_hypothesis(seed):
     rng = random.Random(seed)
     g = random_multigraph(rng.randint(1, 12), rng.randint(0, 18), rng)
     assert component_count(g.vertices, g.edges()) == len(naive_components(g))
+    assert [set(part) for part in connected_components(g)] == naive_components(g)
+    subset = [v for v in sorted(g.vertices) if rng.random() < 0.4]
+    met = [part for part in naive_components(g) if not part.isdisjoint(subset)]
+    assert components_meeting(g, subset) == len(met)
 
 
 @settings(max_examples=80, deadline=None)
@@ -265,7 +276,7 @@ def test_suppress_degree_preserved_and_round_trip(rng):
             assert all(g.degree(v) <= 2 for v in g.vertices)
             continue
         for v in s.vertices:
-            assert s.degree(v) == g.degree(v)
+            assert suppressed_degree(s, v) == g.degree(v)
         # every degree-2 vertex appears inside exactly one stored path
         mids: list[int] = []
         for e in s.sedges:

@@ -34,7 +34,14 @@ from maxleaf.reductions import (
 )
 from maxleaf.solver import exact_max_leaves
 
-from conftest import all_pairs_bilateral, naive_bridges_and_cuts, random_connected, random_multigraph
+from conftest import (
+    all_pairs_bilateral,
+    naive_bridges_and_cuts,
+    random_connected,
+    random_multigraph,
+    replayed_graphs,
+    reverted,
+)
 
 
 def first_admissible(g, rule_id):
@@ -178,7 +185,7 @@ def test_l3_hand_built():
     assert step.removed_vertices == (1, 2, 3, 4, 5)
     assert step.added_vertices == (14, 15)
     assert step.added_edges == ((10, 14), (11, 14), (12, 15), (13, 15))
-    assert step.undo(g2) == g
+    assert reverted(step, g2) == g
     assert lift_meets_pipeline_bound(g, step, g2)
     _, steps = reduce_to_irreducible(g)
     assert steps[0].rule_id == "L3"
@@ -197,7 +204,7 @@ def test_l5_hand_built():
     g2, step = apply_rule(g, m)
     assert step.removed_vertices == (1, 2, 3, 4, 5, 6)
     assert step.added_edges == ((10, 14), (11, 14), (12, 15), (13, 15))
-    assert step.undo(g2) == g
+    assert reverted(step, g2) == g
     assert lift_meets_pipeline_bound(g, step, g2)
 
 
@@ -273,8 +280,11 @@ def test_steps_replay_and_undo(rng):
             if m is None:
                 continue
             g2, step = apply_rule(g, m)
-            assert step.replay(g) == g2
-            assert step.undo(g2) == g
+            cur = g.copy()
+            step.apply(cur)
+            assert cur == g2
+            step.revert(cur)
+            assert cur == g
             round_trip = ReductionStep.from_json_dict(json.loads(json.dumps(step.to_json_dict())))
             assert round_trip == step
             done += 1
@@ -310,9 +320,9 @@ def test_reduce_terminates_and_yields_irreducible(rng):
         for rule in LOW_RULES + HIGH_RULES:
             assert first_admissible(reduced, rule) is None, rule
         # trace replays forward to the reduced graph
-        cur = g
+        cur = g.copy()
         for step in steps:
-            cur = step.replay(cur)
+            step.apply(cur)
         assert cur == reduced
 
 
@@ -375,7 +385,7 @@ def test_each_rule_application_is_checked_once(monkeypatch):
         forest = exact_forest(reduced)
         with monkeypatch.context() as patch:
             # the lift takes one copy forward and back: each step once each way
-            for name in ("apply", "revert", "replay", "undo"):
+            for name in ("apply", "revert"):
                 patch.setattr(ReductionStep, name, counting(name))
             calls.clear()
             reconstruct_chain(g, steps, forest)
@@ -389,10 +399,10 @@ def test_invariant_preserved_along_reductions(rng):
             g = random_invariant_graph(rng.randint(6, 12), 3 if i % 2 else 2, seed=300 + i)
         except GeneratorError:
             continue
-        cur = g
+        cur = g.copy()
         _, steps = reduce_to_irreducible(g)
         for step in steps:
-            cur = step.replay(cur)
+            step.apply(cur)
             assert check_invariant(cur).ok
             checked += 1
     assert checked >= 5
@@ -590,9 +600,7 @@ def test_lift_matches_whole_graph_reference(rng):
     compared = 0
     rules = set()
     for g, steps in _lift_traces(rng):
-        graphs = [g]
-        for step in steps:
-            graphs.append(step.replay(graphs[-1]))
+        graphs = replayed_graphs(g, steps)
         chain = random_spanning_forest(graphs[-1], rng)
         for i in reversed(range(len(steps))):
             rules.add(steps[i].rule_id)
