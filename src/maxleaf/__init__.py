@@ -49,7 +49,6 @@ from .potential import (  # noqa: F401
 )
 from .solver import (  # noqa: F401
     CapacityError,
-    ForcedLeafQuery,
     Verdict,
     achievable_leaves,
     exact_max_leaves,

@@ -63,6 +63,14 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(str(exc)) from exc
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write to the -o file if one was given, else to stdout."""
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _read_graph(path: str) -> Graph:
     return parse_graph(_read_text(path))
 
@@ -131,7 +139,7 @@ def cmd_reduce(args) -> int:
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise InputError(f"{args.replay} line {number}: not a step ({exc!r})") from exc
                 step.apply(g)
-        sys.stdout.write(write_graph(g, comment="replayed"))
+        _write_output(args.output, write_graph(g, comment="replayed"))
         return EXIT_OK
     if args.fpt:
         reduced, k_left, steps = fpt_preprocess(g, args.k if args.k is not None else g.n)
@@ -141,11 +149,7 @@ def cmd_reduce(args) -> int:
     if args.trace:
         _write_text(args.trace, "".join(json.dumps(step.to_json_dict()) + "\n" for step in steps))
     comment = f"{len(steps)} reductions applied" + (f", k now {k_left}" if k_left is not None else "")
-    out = write_graph(reduced, comment=comment)
-    if args.output:
-        _write_text(args.output, out)
-    else:
-        sys.stdout.write(out)
+    _write_output(args.output, write_graph(reduced, comment=comment))
     return EXIT_OK
 
 
@@ -210,10 +214,7 @@ def cmd_generate(args) -> int:
     text = write_graph(g, comment=f"family {args.family}")
     if args.dot:
         text = to_dot(g)
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, text)
     return EXIT_OK
 
 
@@ -266,6 +267,12 @@ def cmd_verify(args) -> int:
         else:
             report(name, False, "unknown check")
     return EXIT_OK if failures == 0 else EXIT_NO
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run the named acceptance checks")
     vp.add_argument("checks", nargs="*", help="subset of: g7 q3 flowerbed theorem1-sample")
-    vp.add_argument("--samples", type=int, default=20)
+    vp.add_argument("--samples", type=_positive_int, default=20)
     vp.set_defaults(func=cmd_verify)
     return p
 

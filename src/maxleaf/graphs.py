@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 
@@ -383,54 +382,45 @@ class SEdge:
 
 
 @dataclass(frozen=True)
-class SuppressedIndex:
-    """Bitmask view of a suppressed graph for the forced-leaf search. The
-    vertex at position i of the sorted vertex list owns bit ``1 << i``, so
-    ascending masks of equal popcount are in colex order."""
-
-    pos: dict[int, int]  # vertex -> bit position
-    full: int  # mask of every vertex
-    adj: tuple[int, ...]  # neighbour mask per position, loops left out
-    loops: int  # mask of the vertices carrying a suppressed cycle
-    loop_count: int
-    # non-loop edges sorted by (cost, id): (id, pair mask, pos u, pos v, cost)
-    edges: tuple[tuple[int, int, int, int, int], ...]
-
-    def mask(self, vs: Iterable[int]) -> int:
-        return sum(1 << self.pos[v] for v in vs)
-
-
-@dataclass(frozen=True)
 class SuppressedGraph:
-    """Result of suppressing every degree-2 vertex of a connected host."""
+    """Result of suppressing every degree-2 vertex of a connected host, with
+    the bitmask view the forced-leaf search reads, built on construction and
+    left out of equality. The vertex at position i of the sorted vertex list
+    owns bit ``1 << i``, so ascending masks of equal popcount are in colex
+    order."""
 
     vertices: frozenset[int]
     sedges: tuple[SEdge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sedges", tuple(self.sedges))
-
-    @cached_property
-    def index(self) -> SuppressedIndex:
+        sedges = tuple(self.sedges)
         pos = {v: i for i, v in enumerate(sorted(self.vertices))}
         adj = [0] * len(pos)
-        loops = [e for e in self.sedges if e.is_loop]
         edges = []
-        for eid, e in enumerate(self.sedges):
+        for eid, e in enumerate(sedges):
             if not e.is_loop:
                 a, b = pos[e.u], pos[e.v]
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
                 edges.append((eid, (1 << a) | (1 << b), a, b, e.cost))
         edges.sort(key=lambda edge: edge[4])  # stable: ties stay in id order
-        return SuppressedIndex(
-            pos=pos,
-            full=(1 << len(pos)) - 1,
-            adj=tuple(adj),
-            loops=sum({1 << pos[e.u] for e in loops}),
+        loops = [e.u for e in sedges if e.is_loop]
+        self.__dict__.update(  # frozen: bypass __setattr__
+            sedges=sedges,
+            pos=pos,  # vertex -> bit position
+            full=(1 << len(pos)) - 1,  # mask of every vertex
+            adj=tuple(adj),  # neighbour mask per position, loops left out
+            loops=sum({1 << pos[v] for v in loops}),  # the vertices carrying a suppressed cycle
             loop_count=len(loops),
-            edges=tuple(edges),
+            edges=tuple(edges),  # non-loop edges by (cost, id): (id, pair mask, pos u, pos v, cost)
         )
+
+    def mask(self, vs: Iterable[int]) -> int:
+        """The bits of a set of vertices; GraphError for one outside the graph."""
+        try:
+            return sum(1 << self.pos[v] for v in vs)
+        except KeyError:
+            raise GraphError("forced set must live inside the suppressed graph") from None
 
     def is_empty(self) -> bool:
         return not self.vertices

@@ -133,19 +133,19 @@ class ReductionStep:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReductionStep":
-        """The step of a JSON record; a vertex that is not an integer (a
-        float is not truncated) or an edge that is not a pair raises
-        TypeError or ValueError."""
+        """The step of a JSON record; a vertex, role or delta that is not an
+        integer (a float is not truncated) or an edge that is not a pair
+        raises TypeError or ValueError."""
         return cls(
             rule_id=d["rule"],
-            roles=tuple(sorted((k, int(v)) for k, v in d["roles"].items())),
+            roles=tuple(sorted((k, index(v)) for k, v in d["roles"].items())),
             removed_vertices=tuple(map(index, d["removed_vertices"])),
             removed_edges=tuple((index(u), index(v)) for u, v in d["removed_edges"]),
             added_vertices=tuple(map(index, d["added_vertices"])),
             added_edges=tuple((index(u), index(v)) for u, v in d["added_edges"]),
-            delta_n3=d["delta_n3"],
-            component_delta=d["component_delta"],
-            delta_k=d.get("delta_k", 0),
+            delta_n3=index(d["delta_n3"]),
+            component_delta=index(d["component_delta"]),
+            delta_k=index(d.get("delta_k", 0)),
         )
 
 

@@ -24,7 +24,8 @@ is the expansion tree too, when it has k leaves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from bisect import bisect
+from dataclasses import dataclass
 from math import comb
 
 from .graphs import (
@@ -47,22 +48,6 @@ from .reductions import fpt_preprocess, reconstruct_chain
 
 class CapacityError(GraphError):
     """Instance exceeds the oracle's configured size cap."""
-
-
-@dataclass(frozen=True)
-class ForcedLeafQuery:
-    """Ask whether some spanning tree keeps every vertex of L a leaf, and how
-    many leaves it can then collect outside the high-degree set."""
-
-    s: SuppressedGraph
-    forced: frozenset[int]
-    host_leaf_count: int  # degree-1 vertices of the suppressed graph's host
-    mask: int = field(init=False, repr=False, compare=False)  # forced, as index bits
-
-    def __post_init__(self):
-        if not self.forced <= self.s.vertices:
-            raise GraphError("forced set must live inside the suppressed graph")
-        object.__setattr__(self, "mask", self.s.index.mask(self.forced))
 
 
 @dataclass
@@ -282,17 +267,18 @@ def expansion_tree(g: Graph) -> list[tuple[int, int]]:
 
 
 # -- forced-leaf subroutine --------------------------------------------------------
+# a forced set is a bitmask over the suppressed graph s, s.mask(vs) of its vertices
 
 
-def forced_leaf_feasible(q: ForcedLeafQuery) -> bool:
+def forced_leaf_feasible(s: SuppressedGraph, forced: int) -> bool:
     """Some spanning tree keeps every forced vertex a leaf: the rest must be
     a connected dominating set of the suppressed graph, no two forced
     vertices may be joined by an edge carrying internal vertices, and no
     suppressed cycle may hang on a forced vertex. See _forced_tree."""
-    return _forced_tree(q) is not None
+    return _forced_tree(s, forced) is not None
 
 
-def _forced_tree(q: ForcedLeafQuery) -> tuple[set[int], int] | None:
+def _forced_tree(s: SuppressedGraph, forced: int) -> tuple[set[int], int] | None:
     """The one evaluation of a forced set: a minimum-cost spanning tree of
     the kept side plus the cheapest attachment of each forced vertex, ties
     going to the lower edge id. Returns the chosen suppressed-edge ids and
@@ -301,19 +287,18 @@ def _forced_tree(q: ForcedLeafQuery) -> tuple[set[int], int] | None:
     None when the set is infeasible: every vertex forced, a loop or a costly
     edge on the forced side, a disconnected kept side, or a forced vertex
     with no kept neighbour."""
-    if q.s.is_empty():
+    if s.is_empty():
         raise GraphError("forced-leaf query needs a nonempty suppressed graph")
-    ix, forced = q.s.index, q.mask
-    if forced == ix.full or ix.loops & forced:
+    if forced == s.full or s.loops & forced:
         return None
-    parent = list(range(len(ix.adj)))
+    parent = list(range(len(s.adj)))
     tree: set[int] = set()
     attached = 0
-    joins_left = len(ix.adj) - forced.bit_count() - 1
-    gain = 2 * ix.loop_count
+    joins_left = len(s.adj) - forced.bit_count() - 1
+    gain = 2 * s.loop_count
     # one pass in (cost, id) order is Kruskal on the kept side and, for each
     # forced vertex, meets its cheapest attachment first
-    for eid, pair, a, b, cost in ix.edges:
+    for eid, pair, a, b, cost in s.edges:
         hit = pair & forced
         if not hit:
             if joins_left:
@@ -337,37 +322,38 @@ def _forced_tree(q: ForcedLeafQuery) -> tuple[set[int], int] | None:
     return tree, gain
 
 
-def achievable_leaves(q: ForcedLeafQuery) -> int | None:
+def achievable_leaves(s: SuppressedGraph, forced: int, host_leaf_count: int) -> int | None:
     """Maximum of |forced| + (leaves outside the high-degree set) over the
-    spanning trees keeping every forced vertex a leaf; None when infeasible.
+    spanning trees keeping every forced vertex a leaf, given the number of
+    degree-1 vertices of the suppressed graph's host; None when infeasible.
     See _forced_tree for the construction."""
-    built = _forced_tree(q)
-    return None if built is None else len(q.forced) + q.host_leaf_count + built[1]
+    built = _forced_tree(s, forced)
+    return None if built is None else forced.bit_count() + host_leaf_count + built[1]
 
 
 def _chain(start: int, seq) -> list[tuple[int, int]]:
     return [edge_key(a, b) for a, b in zip((start, *seq), seq)]
 
 
-def forced_leaf_tree(s: SuppressedGraph, forced: frozenset[int]) -> list[tuple[int, int]]:
+def forced_leaf_tree(s: SuppressedGraph, forced: int) -> list[tuple[int, int]]:
     """Materialize a spanning tree of the suppressed graph's host realizing
     the achievable_leaves construction."""
-    built = _forced_tree(ForcedLeafQuery(s, forced, 0))
+    built = _forced_tree(s, forced)
     if built is None:
         raise GraphError("forced set is infeasible")
     tree, _ = built
     edges: list[tuple[int, int]] = []
     for eid, e in enumerate(s.sedges):
-        path = e.path
-        inner = path[1:-1]
+        inner = e.path[1:-1]
+        u_forced, v_forced = forced >> s.pos[e.u] & 1, forced >> s.pos[e.v] & 1
         if eid in tree:
-            edges += _chain(path[0], path[1:])
-        elif e.is_loop or (e.u not in forced and e.v not in forced):
+            edges += _chain(e.path[0], e.path[1:])
+        elif e.is_loop or not (u_forced or v_forced):
             # split the run into two chains, one off each endpoint
             edges += _chain(e.u, inner[:1]) + _chain(e.v, inner[:0:-1])
-        elif e.v not in forced:  # u forced: the run hangs off v
+        elif not v_forced:  # u forced: the run hangs off v
             edges += _chain(e.v, inner[::-1])
-        elif e.u not in forced:
+        elif not u_forced:
             edges += _chain(e.u, inner)
         # both forced: no inner vertices exist
     return sorted(set(edges))
@@ -423,9 +409,9 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
     return Verdict("YES", witness, stats)
 
 
-def _search(g, s, k, stats, side=None) -> frozenset[int] | None:
-    """A forced set over ``big``, the vertices of degree 3 or more in g, whose
-    achievable value on ``s = suppress(g)`` reaches k, or None, sought from
+def _search(g, s, k, stats, side=None) -> int | None:
+    """A forced set within ``big``, the vertices of degree 3 or more in g, as
+    a mask over ``s = suppress(g)``, whose value reaches k, or None, sought from
     ``side``, by default the side with the smaller enumeration bound;
     records the side in ``stats.search_side``.
 
@@ -444,15 +430,14 @@ def _search(g, s, k, stats, side=None) -> frozenset[int] | None:
     decide-no benchmark), where the tree cannot help and would cost about
     30 µs of a 0.2 ms operation; on a YES that side stops at its first
     small enough connected dominating set anyway."""
-    big = sorted(vertices_ge3(g))
+    big = vertices_ge3(g)
     host_leaf_count = len(graph_leaves(g))
-    ix = s.index
-    must = ix.full & ~ix.mask(big) | ix.loops
-    gain_cap = 2 * ix.loop_count + sum(cost for *_, cost in ix.edges)
-    top_kept = len(ix.adj) - (k - host_leaf_count - gain_cap)
+    must = s.full & ~s.mask(big) | s.loops
+    gain_cap = 2 * s.loop_count + sum(cost for *_, cost in s.edges)
+    top_kept = len(s.adj) - (k - host_leaf_count - gain_cap)
     if side is None:
         fixed = must.bit_count()
-        kept_bound = sum(comb(len(ix.adj) - fixed, j) for j in range(top_kept - fixed + 1))
+        kept_bound = sum(comb(len(s.adj) - fixed, j) for j in range(top_kept - fixed + 1))
         forced_bound = sum(comb(len(big), j) for j in range(min(k, len(big)) + 1))
         side = "kept" if kept_bound < forced_bound else "forced"
     stats.search_side = side
@@ -462,36 +447,35 @@ def _search(g, s, k, stats, side=None) -> frozenset[int] | None:
     leaves = tree_leaves(probe)
     stats.probe_leaves = len(leaves)
     if len(leaves) >= k:
-        return frozenset(leaves.intersection(big))
-    return _search_forced_sets(s, big, k, host_leaf_count, stats)
+        return s.mask(leaves & big)
+    return _search_forced_sets(s, s.mask(big), k, host_leaf_count, stats)
 
 
-def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must) -> frozenset[int] | None:
+def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must) -> int | None:
     """First forced set whose achievable value reaches k, found through its
     kept side: the connected dominating sets of the suppressed graph with
     at most ``top_kept`` vertices that hold every ``must`` bit, by size and
     then as _connected_sets yields them. They grow from the lowest ``must``
     bit, or with none from each smallest member in turn. Each evaluated set
     counts in ``subsets_enumerated``."""
-    ix = s.index
-    order = sorted(s.vertices)
-    spread = _spread(ix.adj)
-    smallest = max(1, must.bit_count(), _fewest_internal(len(order), spread))
-    for size in range(smallest, min(top_kept, len(order)) + 1):
-        roots = (must & -must,) if must else (1 << p for p in range(len(order) - size + 1))
+    n = len(s.adj)
+    spread = _spread(s.adj)
+    smallest = max(1, must.bit_count(), _fewest_internal(n, spread))
+    for size in range(smallest, min(top_kept, n) + 1):
+        roots = (must & -must,) if must else (1 << p for p in range(n - size + 1))
         for root in roots:
-            for kept in _connected_sets(ix.adj, spread, root, size, 0 if must else root - 1, must):
-                forced = frozenset(v for v in order if not kept >> ix.pos[v] & 1)
-                value = achievable_leaves(ForcedLeafQuery(s, forced, host_leaf_count))
+            for kept in _connected_sets(s.adj, spread, root, size, 0 if must else root - 1, must):
+                forced = s.full & ~kept
+                value = achievable_leaves(s, forced, host_leaf_count)
                 stats.subsets_enumerated += 1
                 if value is not None and value >= k:
                     return forced
     return None
 
 
-def _search_forced_sets(s, big, k, host_leaf_count, stats) -> frozenset[int] | None:
-    """First forced set over ``big`` of size at most k, by size and then in
-    colex order, whose achievable value reaches k.
+def _search_forced_sets(s, big, k, host_leaf_count, stats) -> int | None:
+    """First forced set over the mask ``big`` of size at most k, by size and
+    then in colex order, whose achievable value reaches k.
 
     Feasibility is closed under subsets: dropping a vertex from a feasible F
     adds to the kept side a vertex the kept side already dominates. So each
@@ -500,31 +484,29 @@ def _search_forced_sets(s, big, k, host_leaf_count, stats) -> frozenset[int] | N
     out are infeasible, so the first hit is the one exhaustive enumeration
     would find. Each evaluated set counts in ``subsets_enumerated``, each
     left out in ``subsets_pruned``."""
-    bit_of = {v: 1 << s.index.pos[v] for v in big}
-    level = {0: frozenset()}  # mask -> forced set
-    top = min(k, len(big))
+    bits = [1 << p for p in range(big.bit_length()) if big >> p & 1]
+    level = [0]
+    top = min(k, len(bits))
     for size in range(top + 1):
-        feasible = {}
-        for mask in sorted(level):  # ascending masks are colex order
-            forced = level[mask]
-            value = achievable_leaves(ForcedLeafQuery(s, forced, host_leaf_count))
+        feasible = set()
+        for forced in sorted(level):  # ascending masks are colex order
+            value = achievable_leaves(s, forced, host_leaf_count)
             stats.subsets_enumerated += 1
             if value is None:
                 continue
             if value >= k:
                 return forced
-            feasible[mask] = forced
+            feasible.add(forced)
         if size == top:
             return None
-        # extending each feasible set only by vertices above its top one
-        # builds every candidate once
-        level = {
-            mask | bit: forced | {v}
-            for mask, forced in feasible.items()
-            for v, bit in bit_of.items()
-            if bit > mask and all((mask | bit) ^ bit_of[u] in feasible for u in forced)
-        }
-        stats.subsets_pruned += comb(len(big), size + 1) - len(level)
+        # each feasible set grows only by the bits above its top one, so each
+        # candidate is built once, and stays if clearing any one bit leaves a feasible set
+        level = []
+        for forced in feasible:
+            above = bisect(bits, forced)
+            members = [b for b in bits[:above] if b & forced]
+            level += (forced | bit for bit in bits[above:] if all(forced ^ b | bit in feasible for b in members))
+        stats.subsets_pruned += comb(len(bits), size + 1) - len(level)
 
 
 def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, int]]:

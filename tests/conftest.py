@@ -452,16 +452,17 @@ def brute_max_leaves(g: Graph) -> int:
 def exhaustive_forced_search(s, big, k: int, host_leaf_count: int):
     """Every subset of ``big`` of size at most k, by size and then in colex
     order, until the first whose achievable value reaches k. Returns that
-    set (None if there is none) and the number of sets evaluated."""
-    from maxleaf.solver import ForcedLeafQuery, achievable_leaves
+    set as a mask over ``s`` (None if there is none) and the number of sets
+    evaluated."""
+    from maxleaf.solver import achievable_leaves
 
     count = 0
     for size in range(min(k, len(big)) + 1):
         for combo in sorted(itertools.combinations(sorted(big), size), key=lambda c: c[::-1]):
             count += 1
-            value = achievable_leaves(ForcedLeafQuery(s, frozenset(combo), host_leaf_count))
+            value = achievable_leaves(s, s.mask(combo), host_leaf_count)
             if value is not None and value >= k:
-                return frozenset(combo), count
+                return s.mask(combo), count
     return None, count
 
 

@@ -29,7 +29,6 @@ from maxleaf.reductions import (
     fpt_preprocess,
 )
 from maxleaf.solver import (
-    ForcedLeafQuery,
     achievable_leaves,
     exact_max_leaves,
     fpt_decide,
@@ -231,7 +230,7 @@ def test_10_forced_leaf_formula_validation():
                         best[key] = val
         for r in range(0, min(4, len(big)) + 1):
             for forced in itertools.combinations(sorted(big), r):
-                value = achievable_leaves(ForcedLeafQuery(s, frozenset(forced), hl))
+                value = achievable_leaves(s, s.mask(forced), hl)
                 checked += 1
                 if value != best.get(frozenset(forced)):
                     violations += 1

@@ -150,6 +150,9 @@ def test_reduce_trace_and_replay(capsys, tmp_path):
     assert code == 0
     replayed = parse_graph(out)
     assert replayed == parse_graph(reduced_file.read_text())
+    replayed_file = tmp_path / "replayed.gr"
+    code, out, _ = run(capsys, "reduce", str(src), "--replay", str(trace), "-o", str(replayed_file))
+    assert code == 0 and out == "" and parse_graph(replayed_file.read_text()) == replayed
 
 
 def test_reduce_fpt_mode(capsys, g7_minus_file):
@@ -183,6 +186,12 @@ def test_verify_g7_q3(capsys):
         "PASS flowerbed k=10:YES k=11:NO",
         "PASS theorem1-sample violations=0/20",
     ]
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_verify_samples_below_one_exit_2(capsys, samples):
+    code, out, err = run(capsys, "verify", "theorem1-sample", "--samples", samples)
+    assert code == 2 and out == "" and "at least 1" in err
 
 
 def test_verify_unknown_check_fails(capsys):
@@ -238,8 +247,10 @@ def _step_line(**fields) -> str:
         _step_line(removed_edges=[[1, 2, 3]]),
         _step_line(added_vertices=[[1]]),
         _step_line(removed_edges=[[1.9, 2.2]]),
+        _step_line(roles={"a": 2.7}),
+        _step_line(delta_n3="x"),
     ],
-    ids=["not-json", "missing-key", "edge-not-a-pair", "vertex-not-an-int", "vertex-a-float"],
+    ids=["not-json", "missing-key", "edge-not-a-pair", "vertex-not-an-int", "vertex-a-float", "role-a-float", "delta-not-an-int"],
 )
 def test_bad_replay_line_exit_2(capsys, tmp_path, q3_file, bad_line):
     trace = tmp_path / "trace.jsonl"

@@ -11,7 +11,6 @@ from maxleaf.graphs import Graph, GraphError, graph_leaves, parse_graph, suppres
 from maxleaf.generators import flower, flowerbed, g7, necklace, necklace_ring, q3, random_invariant_graph
 from maxleaf.solver import (
     CapacityError,
-    ForcedLeafQuery,
     SolveStats,
     achievable_leaves,
     exact_max_leaves,
@@ -169,14 +168,13 @@ def theta_host():
 def test_empty_forced_set_is_feasible():
     g = theta_host()
     s = suppress(g)
-    assert forced_leaf_feasible(ForcedLeafQuery(s, frozenset(), len(graph_leaves(g))))
+    assert forced_leaf_feasible(s, 0)
 
 
 def test_costly_edge_between_forced_pair_infeasible():
     g = theta_host()
     s = suppress(g)
-    q = ForcedLeafQuery(s, frozenset({1, 2}), 0)
-    assert not forced_leaf_feasible(q)
+    assert not forced_leaf_feasible(s, s.mask({1, 2}))
 
 
 def test_cut_vertex_cannot_be_forced():
@@ -187,20 +185,28 @@ def test_cut_vertex_cannot_be_forced():
     g.add_edge(4, 8)
     g.add_edge(5, 8)
     s = suppress(g)
-    assert not forced_leaf_feasible(ForcedLeafQuery(s, frozenset({1}), 0))
+    assert not forced_leaf_feasible(s, s.mask({1}))
 
 
 def test_loop_at_forced_vertex_infeasible():
     g = Graph(edges=[(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 6), (6, 4)])
     s = suppress(g)  # loops at 1 and 4
-    assert forced_leaf_feasible(ForcedLeafQuery(s, frozenset(), 0))
-    assert not forced_leaf_feasible(ForcedLeafQuery(s, frozenset({1}), 0))
+    assert forced_leaf_feasible(s, 0)
+    assert not forced_leaf_feasible(s, s.mask({1}))
+
+
+def test_forced_mask_outside_the_suppressed_graph_is_an_error():
+    g = theta_host()
+    s = suppress(g)  # 3..8 lie on suppressed runs
+    assert s.mask({1, 2}) == s.full
+    with pytest.raises(GraphError, match="forced set must live inside the suppressed graph"):
+        s.mask({1, 3})
 
 
 def test_achievable_theta_counts_path_gains():
     g = theta_host()
     s = suppress(g)
-    value = achievable_leaves(ForcedLeafQuery(s, frozenset(), len(graph_leaves(g))))
+    value = achievable_leaves(s, 0, len(graph_leaves(g)))
     # tree keeps the free edge; the other two paths donate 1 and 2 leaves
     assert value == 3 == brute_max_leaves(g)
 
@@ -209,7 +215,7 @@ def test_achievable_loop_contributes_two():
     # figure-eight: two suppressed cycles hanging on one anchor
     g = Graph(edges=[(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1)])
     s = suppress(g)
-    value = achievable_leaves(ForcedLeafQuery(s, frozenset(), 0))
+    value = achievable_leaves(s, 0, 0)
     assert value == 4 == brute_max_leaves(g)
 
 
@@ -224,11 +230,10 @@ def test_forced_tree_realizes_value(rng):
         hl = len(graph_leaves(g))
         for r in range(0, min(3, len(big)) + 1):
             for combo in itertools.combinations(big, r):
-                q = ForcedLeafQuery(s, frozenset(combo), hl)
-                value = achievable_leaves(q)
+                value = achievable_leaves(s, s.mask(combo), hl)
                 if value is None:
                     continue
-                tree = forced_leaf_tree(s, frozenset(combo))
+                tree = forced_leaf_tree(s, s.mask(combo))
                 assert verify_spanning_tree(g, tree)
                 leaves = tree_leaves(tree)
                 assert set(combo) <= leaves
@@ -258,8 +263,7 @@ def test_achievable_matches_exhaustive_forced_oracle(rng):
                         best[key] = len(L) + small
         for r in range(0, min(4, len(big)) + 1):
             for L in itertools.combinations(sorted(big), r):
-                q = ForcedLeafQuery(s, frozenset(L), hl)
-                assert achievable_leaves(q) == best.get(frozenset(L)), (sorted(g.edges()), L)
+                assert achievable_leaves(s, s.mask(L), hl) == best.get(frozenset(L)), (sorted(g.edges()), L)
                 checked += 1
     assert checked >= 200
 
@@ -273,12 +277,12 @@ def test_achievable_invariant_under_tie_breaks(rng):
             continue
         s = suppress(g)
         hl = len(graph_leaves(g))
-        value = achievable_leaves(ForcedLeafQuery(s, frozenset(), hl))
+        value = achievable_leaves(s, 0, hl)
         for _ in range(4):
             shuffled = list(s.sedges)
             rng.shuffle(shuffled)
             s2 = type(s)(s.vertices, shuffled)
-            assert achievable_leaves(ForcedLeafQuery(s2, frozenset(), hl)) == value
+            assert achievable_leaves(s2, 0, hl) == value
 
 
 def _feasibility_instances(rng):
@@ -321,12 +325,11 @@ def test_feasibility_matches_reference(rng):
         big = sorted(vertices_ge3(g))
         for r in range(min(5, len(big)) + 1):
             for combo in itertools.combinations(big, r):
-                forced = frozenset(combo)
-                want = reference_forced_feasible(s, forced)
-                q = ForcedLeafQuery(s, forced, 0)
+                want = reference_forced_feasible(s, combo)
+                forced = s.mask(combo)
                 case = (kind, sorted(g.edges()), combo)
-                assert forced_leaf_feasible(q) == want, case
-                assert (achievable_leaves(q) is not None) == want, case
+                assert forced_leaf_feasible(s, forced) == want, case
+                assert (achievable_leaves(s, forced, 0) is not None) == want, case
                 try:
                     forced_leaf_tree(s, forced)
                     built = True
@@ -348,9 +351,10 @@ def test_feasibility_closed_under_subsets(seed):
     big = sorted(vertices_ge3(g))
     for r in range(1, min(5, len(big)) + 1):
         for combo in itertools.combinations(big, r):
-            if forced_leaf_feasible(ForcedLeafQuery(s, frozenset(combo), 0)):
+            forced = s.mask(combo)
+            if forced_leaf_feasible(s, forced):
                 for v in combo:
-                    assert forced_leaf_feasible(ForcedLeafQuery(s, frozenset(combo) - {v}, 0)), (sorted(g.edges()), combo, v)
+                    assert forced_leaf_feasible(s, forced ^ s.mask({v})), (sorted(g.edges()), combo, v)
 
 
 def test_search_matches_exhaustive_reference(rng):
@@ -364,7 +368,7 @@ def test_search_matches_exhaustive_reference(rng):
         hl = len(graph_leaves(g))
         for k in range(1, g.n):
             stats = SolveStats()
-            hit = solver._search_forced_sets(s, big, k, hl, stats)
+            hit = solver._search_forced_sets(s, s.mask(big), k, hl, stats)
             ref, ref_count = exhaustive_forced_search(s, big, k, hl)
             assert hit == ref, (sorted(g.edges()), k)
             assert stats.subsets_enumerated <= ref_count
@@ -376,8 +380,10 @@ def test_search_matches_exhaustive_reference(rng):
 
 
 # forced sets the search evaluates on flowerbed(i) at k = 4i + 3, one above
-# the optimum; a wrong feasibility answer changes these counts
+# the optimum, and those it leaves out; a wrong feasibility answer or a wrong
+# subset check changes these counts
 FLOWERBED_NO_VISITS = {2: 77, 3: 297, 4: 1_097, 5: 3_953}
+FLOWERBED_NO_PRUNED = {2: 50_566, 3: 9_740_389, 4: 1_846_942_356, 5: 349_550_137_125}
 
 
 @pytest.mark.parametrize("i", sorted(FLOWERBED_NO_VISITS))
@@ -386,6 +392,7 @@ def test_flowerbed_no_threshold_is_fast(i):
     assert not v.is_yes
     assert v.stats.search_side == "forced"
     assert v.stats.subsets_enumerated == FLOWERBED_NO_VISITS[i]
+    assert v.stats.subsets_pruned == FLOWERBED_NO_PRUNED[i]
     if i == 3:
         # the exhaustive enumeration visited 9,740,686 forced sets here
         assert v.stats.subsets_enumerated + v.stats.subsets_pruned == 9_740_686
@@ -439,7 +446,7 @@ def test_each_side_matches_exhaustive_reference(rng, monkeypatch):
                     probe_answers += 1
                 if hit is None:
                     continue
-                assert achievable_leaves(ForcedLeafQuery(s, hit, hl)) >= k
+                assert achievable_leaves(s, hit, hl) >= k
                 tree = forced_leaf_tree(s, hit)
                 assert verify_spanning_tree(g, tree) and tree_leaf_count(tree) >= k, (sorted(g.edges()), k, case)
     assert min(outcomes.values()) >= 150 and probe_answers >= 150, (outcomes, probe_answers)
@@ -557,9 +564,9 @@ def test_stats_count_shortcut_fallback(monkeypatch):
     g = Graph(edges=[(i, i + 1) for i in range(1, 12)] + [(i, i + 6) for i in range(1, 7)])
     calls = []
 
-    def counted(q):
-        calls.append(q.forced)
-        return achievable_leaves(q)
+    def counted(s, forced, host_leaf_count):
+        calls.append(forced)
+        return achievable_leaves(s, forced, host_leaf_count)
 
     monkeypatch.setattr(solver, "expansion_tree", dfs_tree)
     monkeypatch.setattr(solver, "achievable_leaves", counted)
