@@ -42,7 +42,7 @@ class Graph:
     __slots__ = ("_adj", "_deg")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        self._adj: dict[int, Counter[int]] = {}
+        self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
         for v in vertices:
             self.add_vertex(v)
@@ -52,7 +52,7 @@ class Graph:
     # -- construction / mutation -------------------------------------------
 
     def add_vertex(self, v: int) -> None:
-        self._adj.setdefault(v, Counter())
+        self._adj.setdefault(v, {})
 
     def _shift_degree(self, v: int, by: int) -> None:
         d = self._deg.get(v, 0) + by
@@ -62,15 +62,15 @@ class Graph:
             del self._deg[v]
 
     def add_edge(self, u: int, v: int) -> None:
-        self.add_vertex(u)
-        self.add_vertex(v)
+        au = self._adj.setdefault(u, {})
+        av = self._adj.setdefault(v, {})
         deg = self._deg
         if u == v:
-            self._adj[u][u] += 1
+            au[u] = au.get(u, 0) + 1
             deg[u] = deg.get(u, 0) + 2
         else:
-            self._adj[u][v] += 1
-            self._adj[v][u] += 1
+            au[v] = au.get(v, 0) + 1
+            av[u] = av.get(u, 0) + 1
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
 
@@ -102,7 +102,7 @@ class Graph:
 
     def copy(self) -> "Graph":
         g = Graph()
-        g._adj = {v: Counter(c) for v, c in self._adj.items()}
+        g._adj = {v: c.copy() for v, c in self._adj.items()}
         g._deg = dict(self._deg)
         return g
 
@@ -162,7 +162,7 @@ class Graph:
         return [(v, w) for v in sorted(self._adj) for w in sorted(self._adj[v]) if v < w]
 
     def is_simple(self) -> bool:
-        return all(self.multiplicity(u, v) == 1 and u != v for u, v in set(self.edges()))
+        return all(k == 1 and w != v for v, c in self._adj.items() for w, k in c.items())
 
     def min_degree(self) -> int:
         return min((self.degree(v) for v in self._adj), default=0)
@@ -202,10 +202,10 @@ def graph_leaves(g: Graph) -> set[int]:
 def tree_leaves(edges: Iterable[tuple[int, int]]) -> set[int]:
     """Vertices meeting exactly one of the edges: the leaves of a tree or
     forest given by its edge list."""
-    deg: Counter[int] = Counter()
+    deg: dict[int, int] = {}
     for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
     return {v for v, d in deg.items() if d == 1}
 
 
@@ -260,8 +260,9 @@ def components_meeting(g: Graph, vs: Iterable[int]) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """One walk from any vertex: connected when it reaches all of them."""
-    return len(next(component_walks(g, g._adj), ())) == g.n
+    """One walk from any vertex: connected when it reaches all of them. A
+    graph with fewer than n - 1 edges is not, and is not walked."""
+    return g.m >= g.n - 1 and len(next(component_walks(g, g._adj), ())) == g.n
 
 
 def component_count(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> int:
@@ -289,15 +290,12 @@ def parse_graph(data: str | bytes | IO) -> Graph:
         data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    g = Graph()
     n = None
-    m_declared = None
-    m_seen = 0
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         if fields[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
@@ -309,8 +307,6 @@ def parse_graph(data: str | bytes | IO) -> Graph:
                 raise ParseError("header counts must be integers", lineno) from None
             if n < 1 or m_declared < 0:
                 raise ParseError("header counts out of range", lineno)
-            for v in range(1, n + 1):
-                g.add_vertex(v)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge before header", lineno)
@@ -324,14 +320,24 @@ def parse_graph(data: str | bytes | IO) -> Graph:
                 raise RangeError(f"endpoint out of range 1..{n}", lineno)
             if u == v:
                 raise ParseError("loops are not accepted in input", lineno)
-            g.add_edge(u, v)
-            m_seen += 1
+            edges.append((u, v))
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", lineno)
     if n is None:
         raise ParseError("missing header")
-    if m_seen != m_declared:
-        raise ParseError(f"header declares {m_declared} edges, found {m_seen}")
+    if len(edges) != m_declared:
+        raise ParseError(f"header declares {m_declared} edges, found {len(edges)}")
+    # vertices 1..n, then each vertex's neighbours in line order, as add_edge
+    # would have inserted them
+    g = Graph()
+    adj = g._adj = {v: {} for v in range(1, n + 1)}
+    deg = g._deg
+    for u, v in edges:
+        au, av = adj[u], adj[v]
+        au[v] = au.get(v, 0) + 1
+        av[u] = av.get(u, 0) + 1
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
     return g
 
 
@@ -447,52 +453,46 @@ def suppress(g: Graph) -> SuppressedGraph:
     no degree-3 vertex (path or cycle) suppresses to the empty graph."""
     if not is_connected(g):
         raise GraphError("suppression requires a connected graph")
-    for v in g.vertices:
-        if g.loops_at(v):
-            raise GraphError("suppression input must be loop-free")
-    if not any(g.degree(v) >= 3 for v in g.vertices):
+    adj, deg = g._adj, g._deg
+    if any(v in nbrs for v, nbrs in adj.items()):
+        raise GraphError("suppression input must be loop-free")
+    if all(d < 3 for d in deg.values()):
         return SuppressedGraph(frozenset(), ())
 
-    anchors = {v for v in g.vertices if g.degree(v) != 2}
+    # with no loop, a degree-2 vertex met from one neighbour along a single
+    # edge has exactly one other neighbour, so only the first step of a run
+    # can meet a parallel edge
+    anchors = {v for v in adj if deg.get(v, 0) != 2}
     sedges: list[SEdge] = []
     visited_mid: set[int] = set()
 
     for a in sorted(anchors):
+        nbrs = sorted(adj[a].items())
         # direct anchor-anchor edges, each copy once
-        for w in sorted(g.neighbors(a)):
-            if w in anchors and a <= w:
-                if a == w:
-                    raise GraphError("unexpected loop at anchor")
-                for _ in range(g.multiplicity(a, w)):
+        for w, k in nbrs:
+            if w in anchors and a < w:
+                for _ in range(k):
                     sedges.append(SEdge(a, w, 0, 0, (a, w)))
         # walks through degree-2 runs
-        for w in sorted(g.neighbors(a)):
+        for w, k in nbrs:
             if w in anchors or w in visited_mid:
                 continue
-            if g.multiplicity(a, w) > 1:
+            if k > 1:
                 raise GraphError("parallel edge at a degree-2 vertex")
             path = [a, w]
             prev, cur = a, w
             while cur not in anchors:
                 visited_mid.add(cur)
-                nbrs = [x for x in g.neighbors(cur) if x != prev]
-                if len(nbrs) != 1 or g.degree(cur) != 2:
-                    raise GraphError("parallel edge or loop inside a degree-2 run")
-                prev, cur = cur, nbrs[0]
+                x, y = adj[cur]
+                prev, cur = cur, y if x == prev else x
                 path.append(cur)
-            b = cur
             internal = len(path) - 2
-            if a == b:
+            if a == cur:
                 sedges.append(SEdge(a, a, internal, None, tuple(path)))
             else:
-                u, v = (a, b) if a <= b else (b, a)
-                if u != a:
+                if cur < a:
                     path.reverse()
-                sedges.append(SEdge(u, v, internal, min(internal, 2), tuple(path)))
-
-    unvisited = {v for v in g.vertices if g.degree(v) == 2} - visited_mid
-    if unvisited:
-        raise GraphError("degree-2 cycle with no anchor")  # unreachable when connected
+                sedges.append(SEdge(path[0], path[-1], internal, min(internal, 2), tuple(path)))
     return SuppressedGraph(frozenset(anchors), sedges)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, SubgraphF, connected_components, is_connected, is_goober, n_ge3
+from .graphs import Graph, GraphError, SubgraphF, connected_components, find, is_connected, is_goober, n_ge3
 from .patterns import check_invariant
 
 
@@ -120,10 +120,14 @@ def _join_components(f: SubgraphF) -> SubgraphF:
     if f.cc < 2:
         return f
     g = f.host
-    parts = connected_components(Graph(f.vertices, f.edges))  # the first holds min(f.vertices)
-    part_of = {v: part for part in parts for v in part}
-    comp = set(parts[0])
-    for _ in parts[1:]:  # one join per further component
+    parent = {v: v for v in f.vertices}
+    for u, w in f.edges:
+        parent[find(parent, u)] = find(parent, w)
+    parts: dict[int, set[int]] = {}  # root -> its component
+    for v in f.vertices:
+        parts.setdefault(find(parent, v), set()).add(v)
+    comp = set(parts[find(parent, min(f.vertices))])
+    for _ in range(len(parts) - 1):  # one join per further component
         joins = (
             ((u in f.leaves) + (w in f.leaves), u, w)
             for u in comp
@@ -135,7 +139,7 @@ def _join_components(f: SubgraphF) -> SubgraphF:
             raise GraphError("subgraph components cannot be joined")
         _, u, w = best
         f = f.with_additions((), [(u, w)])
-        comp |= part_of[w]
+        comp |= parts[find(parent, w)]
     return f
 
 

@@ -23,7 +23,6 @@ each candidate completion on the replaced region only.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import index
 from typing import Iterable
@@ -659,6 +658,8 @@ def reduce_to_irreducible(g: Graph) -> tuple[Graph, list[ReductionStep]]:
 def fpt_preprocess(g: Graph, k: int) -> tuple[Graph, int, list[ReductionStep]]:
     """Remove every 2-terminal diamond and blossom, decrementing the target
     once per application."""
+    if k < 1:
+        raise GraphError("k must be at least 1")
     reduced, steps = _reduce(g, FPT_RULES)
     return reduced, k - len(steps), steps
 
@@ -700,10 +701,12 @@ def _lift(
             raise ReconstructionError("input forest does not span the reduced graph")
         parent[ru] = rv
 
-    degree = Counter(itertools.chain.from_iterable(forest))
+    degree: dict[int, int] = {}
     back = []  # the forest edges the step added
     for e in forest:
         u, v = e
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
         if not g.has_edge(u, v):
             raise ReconstructionError("input forest does not span the reduced graph")
         if e in added:
@@ -745,8 +748,10 @@ def _lift(
             joined[a] = b
         else:
             leaves = kept_leaves
-            for v, more in Counter(v for e in extra for v in e).items():
-                leaves += (degree[v] + more == 1) - (degree[v] == 1)
+            grown: dict[int, int] = {}  # the degrees the extra edges raise
+            for v in itertools.chain.from_iterable(extra):
+                d = grown[v] = grown.get(v, degree.get(v, 0)) + 1
+                leaves += (d == 1) - (d == 2)
             if leaves > best_leaves:
                 best_leaves = leaves
                 best = extra

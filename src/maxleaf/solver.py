@@ -428,7 +428,7 @@ def _search(g, s, k, stats, side=None) -> int | None:
     since the tree keeps them leaves: no set is enumerated. The kept side
     never builds it. Most NO instances land there (every one of the
     decide-no benchmark), where the tree cannot help and would cost about
-    30 µs of a 0.2 ms operation; on a YES that side stops at its first
+    19 µs of a 0.1 ms operation; on a YES that side stops at its first
     small enough connected dominating set anyway."""
     big = vertices_ge3(g)
     host_leaf_count = len(graph_leaves(g))

@@ -161,6 +161,11 @@ def test_reduce_fpt_mode(capsys, g7_minus_file):
     assert "k now 4" in out
 
 
+def test_reduce_fpt_k_below_one_exit_2(capsys, g7_minus_file):
+    code, out, err = run(capsys, "reduce", g7_minus_file, "--fpt", "-k", "-5")
+    assert code == 2 and out == "" and err == "error: k must be at least 1\n"
+
+
 def test_suppress_output(capsys, tmp_path):
     from maxleaf.graphs import Graph
 

@@ -72,6 +72,49 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("p 3 2\ne 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, error, message, line",
+    [
+        ("p 2 1\np 2 1\ne 1 2\n", ParseError, "duplicate header", 2),
+        ("p 2\n", ParseError, "header must be 'p <n> <m>'", 1),
+        ("c header below\np two 1\n", ParseError, "header counts must be integers", 2),
+        ("p 0 0\n", ParseError, "header counts out of range", 1),
+        ("p 2 -1\n", ParseError, "header counts out of range", 1),
+        ("\ne 1 2\np 2 1\n", ParseError, "edge before header", 2),
+        ("p 2 1\ne 1 2 3\n", ParseError, "edge line must be 'e <u> <v>'", 2),
+        ("p 2 1\ne 1 x\n", ParseError, "edge endpoints must be integers", 2),
+        ("p 2 1\ne 0 2\n", RangeError, "endpoint out of range 1..2", 2),
+        ("p 3 2\ne 1 2\ne 3 3\n", ParseError, "loops are not accepted in input", 3),
+        ("p 2 1\n  q 1 2\n", ParseError, "unknown directive 'q'", 2),
+        ("c no header\n\n", ParseError, "missing header", None),
+        ("p 3 2\ne 1 2\n", ParseError, "header declares 2 edges, found 1", None),
+        ("p 2 0\ne 1 2\n", ParseError, "header declares 0 edges, found 1", None),
+    ],
+)
+def test_parse_error_messages(text, error, message, line):
+    with pytest.raises(error) as exc:
+        parse_graph(text)
+    assert type(exc.value) is error and exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_parse_matches_add_edge_in_line_order(rng):
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        edges = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 20) if n > 1 else 0)]
+        lines = [f"p {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+        for _ in range(rng.randint(0, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "c note", "   ", "\tc  tabbed"]))
+        g = parse_graph("\n".join(lines))
+        built = Graph(range(1, n + 1))
+        for u, v in edges:
+            built.add_edge(u, v)
+        assert g == built
+        assert list(g._adj) == list(built._adj)
+        assert all(list(g._adj[v].items()) == list(built._adj[v].items()) for v in g._adj)
+        assert g._deg == built._deg
+
+
 def test_parse_from_stream_and_bytes():
     assert parse_graph(io.StringIO("p 2 1\ne 1 2\n")).m == 1
     assert parse_graph(b"p 2 1\ne 1 2\n").m == 1
@@ -289,6 +332,18 @@ def test_suppress_degree_preserved_and_round_trip(rng):
 def test_suppress_requires_connected():
     g = Graph(edges=[(1, 2), (3, 4)])
     with pytest.raises(GraphError):
+        suppress(g)
+
+
+def test_suppress_rejects_a_loop():
+    g = Graph(edges=[(1, 2), (1, 3), (1, 4), (2, 2)])
+    with pytest.raises(GraphError, match="loop-free"):
+        suppress(g)
+
+
+def test_suppress_rejects_a_parallel_edge_at_a_degree_2_vertex():
+    g = Graph(edges=[(1, 2), (1, 3), (1, 4), (4, 5), (4, 5)])
+    with pytest.raises(GraphError, match="parallel edge at a degree-2 vertex"):
         suppress(g)
 
 

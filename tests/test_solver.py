@@ -82,6 +82,19 @@ def test_huge_declared_n_fails_after_one_walk(monkeypatch):
         fpt_decide(g, 3)
 
 
+def test_too_few_edges_fail_without_a_walk():
+    # a connected graph needs n - 1 edges; with fewer no vertex is listed
+    g = parse_graph("p 200000 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="connected"):
+            fpt_decide(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_exact_matches_brute_force(rng):
     for _ in range(50):
         g = random_connected(rng.randint(2, 8), rng.randint(0, 4), rng)
