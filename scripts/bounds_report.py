@@ -12,7 +12,8 @@ n>=3/3 + 4/3 at minimum degree 3 and n>=3/3 + 2 otherwise, where n>=3 counts
 the vertices of degree at least 3. On every graph the script builds, the
 leaf-expansion tree (solver.expansion_tree) is printed with its gap to the
 optimum and must reach the Kleitman-West bound n/4 + 2 at minimum degree 3.
-Exits 1 on a mismatch or a violation.
+The exactly solved graphs also show the leaves of the potential-greedy tree
+(greedy=), for comparison only. Exits 1 on a mismatch or a violation.
 
 Usage:
     python scripts/bounds_report.py [--max-ring K] [--max-bed I]
@@ -69,12 +70,13 @@ def check_theorem(n, target, seed):
     g = random_invariant_graph(n, target, seed)
     bound = theorem_bound(g)
     best, _ = exact_max_leaves(g)
+    greedy, _ = greedy_spanning_tree(g)
     ok = best >= bound
     probe, probe_ok = check_expansion(g, best)
     name = f"random({n},{target},{seed})"
     print(
         f"{name:<18} n={g.n:<4} min-degree={g.min_degree()} optimum={best:<3} "
-        f"bound={fmt(bound)}{'' if ok else ' VIOLATED'} {probe}"
+        f"bound={fmt(bound)}{'' if ok else ' VIOLATED'} greedy={tree_leaf_count(greedy):<3} {probe}"
     )
     return ok and probe_ok
 

@@ -6,9 +6,9 @@ apply the rule once, solve the reduced graph exactly per component, lift the
 forest back, and check the leaf-ratio inequality for that pipeline (ratio 2
 when the rule disconnected into goober-holding components, 4/3 otherwise).
 
-Full reduction chains are also run to exercise trace replay and the greedy
-integration; chains make no ratio promise (the reduced-graph guarantee is
-banked once per pipeline), so they are checked for validity and reported.
+Full reduction chains are also run to exercise trace replay; chains make no
+ratio promise (the reduced-graph guarantee is banked once per pipeline), so
+they are checked for validity and reported.
 
 Usage:
     python scripts/reduction_fuzz.py [--rounds N] [--seed S]

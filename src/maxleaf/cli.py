@@ -40,7 +40,8 @@ EXIT_ERROR = 2
 
 
 class InputError(Exception):
-    """A file could not be read or written, or does not hold what it should."""
+    """A file could not be read or written, or does not hold what it should,
+    or the options given do not fit together."""
 
 
 def _read_text(path: str) -> str:
@@ -130,6 +131,8 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.k is not None and not args.fpt:
+        raise InputError("-k is read only with --fpt")
     g = _read_graph(args.graph)
     if args.replay:
         for number, line in enumerate(_read_text(args.replay).splitlines(), 1):
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("reduce", help="apply the reduction rules")
     rp.add_argument("graph")
     rp.add_argument("--fpt", action="store_true", help="apply the two-terminal rules instead")
-    rp.add_argument("-k", type=int, default=None)
+    rp.add_argument("-k", type=int, default=None, help="with --fpt: the k the rules lower (default n)")
     rp.add_argument("--trace", help="write the applied steps as JSON lines")
     rp.add_argument("--replay", help="replay a previously written trace")
     rp.add_argument("-o", "--output")

@@ -165,7 +165,10 @@ class Graph:
         return all(k == 1 and w != v for v, c in self._adj.items() for w, k in c.items())
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in self._adj), default=0)
+        # a vertex without a degree entry has no edges
+        if len(self._deg) < len(self._adj):
+            return 0
+        return min(self._deg.values(), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -187,16 +190,16 @@ def is_goober(g: Graph, v: int) -> bool:
 
 def n_ge3(g: Graph) -> int:
     """Number of vertices of degree at least 3."""
-    return sum(1 for v in g.vertices if g.degree(v) >= 3)
+    return sum(1 for d in g._deg.values() if d >= 3)
 
 
 def vertices_ge3(g: Graph) -> set[int]:
-    return {v for v in g.vertices if g.degree(v) >= 3}
+    return {v for v, d in g._deg.items() if d >= 3}
 
 
 def graph_leaves(g: Graph) -> set[int]:
     """Degree-1 vertices."""
-    return {v for v in g.vertices if g.degree(v) == 1}
+    return {v for v, d in g._deg.items() if d == 1}
 
 
 def tree_leaves(edges: Iterable[tuple[int, int]]) -> set[int]:

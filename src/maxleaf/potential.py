@@ -1,6 +1,10 @@
 """Leaf-potential machinery: exact potential evaluation of a subgraph, vertex
-expansion, conservative augmentation moves, and a greedy extend-until-spanning
-spanning-tree heuristic.
+expansion, conservative augmentation moves, and a greedy spanning-tree
+heuristic.
+
+The heuristic grows one tree on the input graph until it spans. The paper
+reduces a graph to an irreducible one to prove its bound; the builder does
+not reduce, and has no second component to open or join.
 
 All potential arithmetic is exact: values are half-integers stored as their
 doubled integer. The heuristic makes no bound promise; callers compare the
@@ -18,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, SubgraphF, connected_components, find, is_connected, is_goober, n_ge3
-from .patterns import check_invariant
+from .graphs import Graph, GraphError, SubgraphF, is_connected, is_goober, n_ge3
 
 
 @dataclass(frozen=True)
@@ -113,99 +116,37 @@ def try_augment(f: SubgraphF) -> SubgraphF | None:
     return None
 
 
-def _join_components(f: SubgraphF) -> SubgraphF:
-    """Connect the subgraph's components with host edges, growing the one
-    that holds its least vertex and preferring joins that sacrifice the
-    fewest leaves."""
-    if f.cc < 2:
-        return f
-    g = f.host
-    parent = {v: v for v in f.vertices}
-    for u, w in f.edges:
-        parent[find(parent, u)] = find(parent, w)
-    parts: dict[int, set[int]] = {}  # root -> its component
-    for v in f.vertices:
-        parts.setdefault(find(parent, v), set()).add(v)
-    comp = set(parts[find(parent, min(f.vertices))])
-    for _ in range(len(parts) - 1):  # one join per further component
-        joins = (
-            ((u in f.leaves) + (w in f.leaves), u, w)
-            for u in comp
-            for w in g.neighbors(u)
-            if w in f.vertices and w not in comp
-        )
-        best = min(joins, default=None)
-        if best is None:
-            raise GraphError("subgraph components cannot be joined")
-        _, u, w = best
-        f = f.with_additions((), [(u, w)])
-        comp |= parts[find(parent, w)]
-    return f
-
-
 def _greedy_from(g: Graph, start: int) -> SubgraphF:
+    """One tree grown from the closed neighbourhood of ``start`` until it
+    spans the connected host: a conservative augmentation while one
+    applies, otherwise the boundary expansion that gives the highest
+    potential, lowest vertex on ties (the host is connected, so a tree that
+    does not span has a boundary). Every move adds vertices hanging off the
+    tree, so the subgraph stays one tree throughout."""
     f = expand(SubgraphF.empty(g), start)
     while not f.is_spanning():
         nxt = try_augment(f)
-        if nxt is not None:
-            f = nxt
-            continue
-        # best-scoring expansion anywhere; expansions outside the subgraph
-        # open a new component and pay for it in the score. The host is
-        # connected, so the boundary is not empty, and every candidate's
-        # expansion adds a vertex.
-        boundary = f.boundary()
-        candidates = set(boundary)
-        for w in boundary:  # everything within two steps of the boundary
-            for u in g.neighbors(w) - f.vertices:
-                candidates.add(u)
-                candidates |= g.neighbors(u) - f.vertices
-        outside = g.vertices - f.vertices
-        candidates |= {v for v in outside if g.degree(v) >= 4}
-        grown = ((w, expand(f, w)) for w in candidates)
-        f = min(grown, key=lambda wc: (-leaf_potential(wc[1]).twice_value, wc[0]))[1]
+        if nxt is None:
+            grown = ((w, expand(f, w)) for w in f.boundary())
+            nxt = min(grown, key=lambda wc: (-leaf_potential(wc[1]).twice_value, wc[0]))[1]
+        f = nxt
     return f
 
 
 def _best_from_every_start(g: Graph) -> SubgraphF:
     """The potential-greedy tree with the most leaves over all start
-    vertices of a connected graph."""
-    trees = (_join_components(_greedy_from(g, start)) for start in sorted(g.vertices))
-    best = max(trees, key=lambda f: len(f.leaves))  # the first with the most leaves
-    if len(best.edges) != g.n - 1 or best.cc != 1:
-        raise GraphError("greedy construction failed to produce a spanning tree")
-    return best
+    vertices of a connected graph, the first such in vertex order."""
+    return max((_greedy_from(g, start) for start in sorted(g.vertices)), key=lambda f: len(f.leaves))
 
 
 def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialReport]:
-    """Best-effort many-leaf spanning tree of a connected graph.
-
-    When the input satisfies the invariant and a reduction applies, the graph
-    is reduced first, solved per component, and the trees are lifted back
-    through the trace. Otherwise the potential-greedy loop runs from every
-    start vertex and the best tree wins.
-    """
-    from .reductions import reconstruct_chain, reduce_to_irreducible
-
+    """Best-effort many-leaf spanning tree of a connected graph: the
+    potential-greedy loop runs on g itself from every start vertex and the
+    tree with the most leaves wins. Returns its edges and its potential."""
     if g.n < 2:
         raise GraphError("need at least two vertices")
     if not is_connected(g):
         raise GraphError("greedy builder requires a connected graph")
-
-    if check_invariant(g).ok:
-        reduced, steps = reduce_to_irreducible(g)
-        if steps:
-            forest: set[tuple[int, int]] = set()
-            for comp in connected_components(reduced):
-                if len(comp) < 2:
-                    continue
-                # rules match and vet within one component: this one is irreducible too
-                sub = Graph(comp, (e for e in reduced.edges() if e[0] in comp))
-                forest |= _best_from_every_start(sub).edges
-            edges = reconstruct_chain(g, steps, forest)
-            f = SubgraphF(g, g.vertices, edges)
-            return set(f.edges), leaf_potential(f)
-
     best = _best_from_every_start(g)
     return set(best.edges), leaf_potential(best)
 

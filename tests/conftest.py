@@ -190,28 +190,6 @@ def naive_components(g: Graph) -> list[set[int]]:
     return out
 
 
-def reference_join_components(f):
-    """The greedy builder's component join as one rebuild per joining edge:
-    a whole graph of the subgraph and its components, to find the one that
-    holds the least vertex, then the host edge out of it that loses the
-    fewest leaves, least (u, w) first."""
-    g = f.host
-    while f.cc > 1:
-        comp = naive_components(Graph(f.vertices, f.edges))[0]
-        best = None
-        for u in sorted(comp):
-            for w in sorted(g.neighbors(u)):
-                if w in comp or w not in f.vertices:
-                    continue
-                key = ((1 if u in f.leaves else 0) + (1 if w in f.leaves else 0), u, w)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise GraphError("subgraph components cannot be joined")
-        f = f.with_additions((), [best[1:]])
-    return f
-
-
 def naive_bridges_and_cuts(g: Graph) -> tuple[set[tuple[int, int]], set[int]]:
     """O(m * (n + m)) recomputation by deletion."""
     base = len(naive_components(g))

@@ -166,6 +166,14 @@ def test_reduce_fpt_k_below_one_exit_2(capsys, g7_minus_file):
     assert code == 2 and out == "" and err == "error: k must be at least 1\n"
 
 
+@pytest.mark.parametrize("k", ["-5", "3"])
+def test_reduce_k_without_fpt_exit_2(capsys, tmp_path, k):
+    path = tmp_path / "p3.gr"
+    path.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    code, out, err = run(capsys, "reduce", str(path), "-k", k)
+    assert code == 2 and out == "" and err == "error: -k is read only with --fpt\n"
+
+
 def test_suppress_output(capsys, tmp_path):
     from maxleaf.graphs import Graph
 

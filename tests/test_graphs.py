@@ -16,10 +16,13 @@ from maxleaf.graphs import (
     components_meeting,
     connected_components,
     edge_key,
+    graph_leaves,
     is_connected,
+    n_ge3,
     parse_graph,
     suppress,
     to_dot,
+    vertices_ge3,
     write_graph,
 )
 from maxleaf.generators import flowerbed, flower, g7, q3
@@ -184,9 +187,15 @@ def test_edgeless_header_allocates_no_degree_entries():
 
 
 def check_degrees(g: Graph) -> None:
+    """The degree cache and every helper that reads it agree with a recount
+    from the adjacency, isolated vertices (degree 0) included."""
     deg, m = recount_degrees(g)
     assert {v: g.degree(v) for v in g.vertices} == deg
     assert g.m == m
+    assert g.min_degree() == min(deg.values(), default=0)
+    assert vertices_ge3(g) == {v for v, d in deg.items() if d >= 3}
+    assert n_ge3(g) == len(vertices_ge3(g))
+    assert graph_leaves(g) == {v for v, d in deg.items() if d == 1}
 
 
 GRAPH_OPS = st.lists(

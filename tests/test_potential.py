@@ -9,7 +9,6 @@ from maxleaf.graphs import Graph, GraphError, SubgraphF, edge_key, n_ge3
 from maxleaf import reductions
 from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
 from maxleaf.potential import (
-    _join_components,
     expand,
     expand_many,
     greedy_spanning_tree,
@@ -19,7 +18,7 @@ from maxleaf.potential import (
 )
 from maxleaf.solver import tree_leaf_count, verify_spanning_tree
 
-from conftest import random_connected, random_loopless_multigraph, reference_join_components
+from conftest import random_connected, random_loopless_multigraph
 
 
 def path(n):
@@ -189,44 +188,28 @@ def test_incremental_subgraphs_match_scratch(rng, checked_growth):
         else:
             g = random_connected(n, rng.randint(0, 2 * n), rng)
         f = random_growth(g, rng)
-        _join_components(f.with_additions(g.vertices - f.vertices, ()))
+        f.with_additions(g.vertices - f.vertices, ())
     assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] > 100
 
 
-def test_join_matches_rebuild_per_join(rng):
-    """The join lists the components once per call; it adds the same edges
-    as the reference that rebuilds them after every join, or fails alike
-    when components meet only through vertices outside the subgraph."""
-    outcomes = {"joined": 0, "failed": 0}
-    for trial in range(400):
-        n = rng.randint(6, 14)
-        if trial % 2:
-            g = random_loopless_multigraph(n, rng.randint(0, n), rng)
-        else:
-            g = random_connected(n, rng.randint(0, n), rng)
-        f = random_growth(g, rng)
-        if f.cc < 3:
-            continue
-        for sub in (f, f.with_additions(g.vertices - f.vertices, ())):
-            try:
-                want = reference_join_components(sub).edges
-            except GraphError as err:
-                with pytest.raises(GraphError, match=str(err)):
-                    _join_components(sub)
-                outcomes["failed"] += 1
-                continue
-            assert _join_components(sub).edges == want, (sorted(g.edges()), sorted(sub.edges))
-            outcomes["joined"] += 1
-    assert outcomes["joined"] >= 200 and outcomes["failed"] >= 20, outcomes
+def test_greedy_growths_match_scratch(rng, checked_growth, monkeypatch):
+    """Every growth the builder makes matches a from-scratch build and keeps
+    one tree: it adds a vertex hanging off the subgraph, never an edge
+    between two vertices already in it."""
+    grow = SubgraphF.with_additions
 
+    def one_tree(self, new_vertices, new_edges):
+        grown = grow(self, new_vertices, new_edges)
+        assert grown.cc == 1 and len(grown.edges) == len(grown.vertices) - 1
+        return grown
 
-def test_greedy_growths_match_scratch(rng, checked_growth):
+    monkeypatch.setattr(SubgraphF, "with_additions", one_tree)
     for _ in range(30):
         greedy_spanning_tree(random_connected(rng.randint(2, 12), rng.randint(0, 8), rng))
     for _ in range(10):
         greedy_spanning_tree(random_loopless_multigraph(rng.randint(2, 10), rng.randint(0, 10), rng))
     greedy_spanning_tree(necklace_ring(3))
-    assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] > 0
+    assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] == 0
 
 
 def test_with_additions_rejects_what_the_host_lacks():
@@ -338,21 +321,17 @@ def test_incremental_growth_keeps_the_same_trees(rng, monkeypatch):
     assert [greedy_spanning_tree(g) for g in graphs] == grown
 
 
-def test_greedy_reduces_once(monkeypatch):
-    """The components of the reduced graph are irreducible, so the builder
-    solves them without reducing again."""
-    calls = []
-    reduce = reductions.reduce_to_irreducible
+def test_greedy_never_reduces(monkeypatch):
+    """The builder grows its tree on the input graph: no reduction runs,
+    also on invariant graphs that a rule applies to."""
 
-    def counted(g):
-        reduced, steps = reduce(g)
-        calls.append(len(steps))
-        return reduced, steps
+    def refuse(g):
+        raise AssertionError("greedy_spanning_tree reduced its input")
 
-    monkeypatch.setattr(reductions, "reduce_to_irreducible", counted)
-    edges, _ = greedy_spanning_tree(random_invariant_graph(12, 3, 0))
-    assert len(calls) == 1 and calls[0] > 0
-    assert verify_spanning_tree(random_invariant_graph(12, 3, 0), sorted(edges))
+    monkeypatch.setattr(reductions, "reduce_to_irreducible", refuse)
+    for g in (random_invariant_graph(12, 3, 0), necklace_ring(3), flowerbed(2)):
+        edges, rep = greedy_spanning_tree(g)
+        assert verify_spanning_tree(g, sorted(edges)) and rep.leaves == tree_leaf_count(sorted(edges))
 
 
 def test_greedy_rejects_disconnected():
