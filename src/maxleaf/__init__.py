@@ -9,7 +9,6 @@ from .graphs import (  # noqa: F401
     ParseError,
     RangeError,
     SEdge,
-    SubgraphF,
     SuppressedGraph,
     connected_components,
     is_connected,

@@ -103,9 +103,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_maximize(args) -> int:
+    if args.cap is not None and not args.exact:
+        raise InputError("--cap is read only with --exact")
     g = _read_graph(args.graph)
     if args.exact:
-        best, tree = exact_max_leaves(g, cap=args.cap)
+        best, tree = exact_max_leaves(g, cap=30 if args.cap is None else args.cap)
         if args.json:
             print(json.dumps({"leaves": best, "tree": [list(e) for e in tree]}))
         else:
@@ -131,6 +133,8 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.replay and (args.fpt or args.k is not None or args.trace):
+        raise InputError("--replay takes no --fpt, -k or --trace")
     if args.k is not None and not args.fpt:
         raise InputError("-k is read only with --fpt")
     g = _read_graph(args.graph)
@@ -221,10 +225,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+_CHECKS = ("g7", "q3", "flowerbed", "theorem1-sample")
+
+
 def cmd_verify(args) -> int:
     from .generators import flowerbed, g7, q3, random_invariant_graph
 
-    checks = args.checks or ["g7", "q3", "flowerbed", "theorem1-sample"]
+    for name in args.checks:
+        if name not in _CHECKS:
+            raise InputError(f"unknown check {name} (choose from {' '.join(_CHECKS)})")
+    checks = args.checks or _CHECKS
     failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):
@@ -267,8 +277,6 @@ def cmd_verify(args) -> int:
                 if best < theorem_bound(graph):
                     bad += 1
             report("theorem1-sample", bad == 0, f"violations={bad}/{args.samples}")
-        else:
-            report(name, False, "unknown check")
     return EXIT_OK if failures == 0 else EXIT_NO
 
 
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = mp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    mp.add_argument("--cap", type=int, default=30, help="exact-solver size cap")
+    mp.add_argument("--cap", type=int, default=None, help="with --exact: the size cap (default 30)")
     mp.add_argument("graph")
     mp.add_argument("--json", action="store_true")
     mp.set_defaults(func=cmd_maximize)
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.set_defaults(func=cmd_generate)
 
     vp = sub.add_parser("verify", help="run the named acceptance checks")
-    vp.add_argument("checks", nargs="*", help="subset of: g7 q3 flowerbed theorem1-sample")
+    vp.add_argument("checks", nargs="*", help=f"subset of: {' '.join(_CHECKS)}")
     vp.add_argument("--samples", type=_positive_int, default=20)
     vp.set_defaults(func=cmd_verify)
     return p

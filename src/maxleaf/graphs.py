@@ -1,6 +1,6 @@
-"""Mutable multigraph over integer vertex ids, the derived structures
-(degree-2 suppression, subgraphs) everything else builds on, and the shared
-primitives: the union-find, the component walk and leaf counting.
+"""Mutable multigraph over integer vertex ids, the degree-2 suppression
+everything else builds on, and the shared primitives: the union-find, the
+component walk and leaf counting.
 
 Vertex ids are stable: deleting a vertex leaves a hole instead of renumbering,
 so recorded matches and reduction traces stay valid across mutations.
@@ -497,130 +497,4 @@ def suppress(g: Graph) -> SuppressedGraph:
                     path.reverse()
                 sedges.append(SEdge(path[0], path[-1], internal, min(internal, 2), tuple(path)))
     return SuppressedGraph(frozenset(anchors), sedges)
-
-
-# -- subgraphs -------------------------------------------------------------------
-
-class SubgraphF:
-    """A subgraph of a host graph: a vertex set plus an edge subset, with its
-    component count, leaves, dead leaves (leaves whose host neighbours all lie
-    in the subgraph), degrees and number of host non-goobers. A subgraph
-    built from scratch computes these over all of itself; one grown by
-    ``with_additions`` derives them from its parent's, looking only at what
-    the growth touches. Both assume the host is not mutated meanwhile."""
-
-    __slots__ = ("host", "vertices", "edges", "cc", "leaves", "dead_leaves", "nongoob", "_deg")
-
-    def __init__(self, host: Graph, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-        self.host = host
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(edge_key(u, v) for u, v in edges)
-        for v in self.vertices:
-            if not host.has_vertex(v):
-                raise GraphError(f"subgraph vertex {v} not in host")
-        self._deg: dict[int, int] = {}
-        for u, v in self.edges:
-            self._check_edge(u, v)
-            self._deg[u] = self._deg.get(u, 0) + 1
-            self._deg[v] = self._deg.get(v, 0) + 1
-        self.leaves = frozenset(v for v, d in self._deg.items() if d == 1)
-        self.dead_leaves = frozenset(v for v in self.leaves if self._is_closed(v))
-        self.cc = component_count(self.vertices, self.edges)
-        self.nongoob = sum(1 for v in self.vertices if not is_goober(host, v))
-
-    def _check_edge(self, u: int, v: int) -> None:
-        if u not in self.vertices or v not in self.vertices:
-            raise GraphError(f"subgraph edge {u}-{v} has endpoint outside the vertex set")
-        if not self.host.has_edge(u, v):
-            raise GraphError(f"subgraph edge {u}-{v} not in host")
-
-    def _is_closed(self, v: int) -> bool:
-        """Every host neighbour of v lies in the subgraph."""
-        return self.host._adj[v].keys() <= self.vertices
-
-    @classmethod
-    def empty(cls, host: Graph) -> "SubgraphF":
-        return cls(host, (), ())
-
-    def is_spanning(self) -> bool:
-        return len(self.vertices) == self.host.n
-
-    def boundary(self) -> set[int]:
-        """Vertices of the subgraph with at least one host neighbor outside."""
-        return {v for v in self.vertices if not self._is_closed(v)}
-
-    def with_additions(self, new_vertices: Iterable[int], new_edges: Iterable[tuple[int, int]]) -> "SubgraphF":
-        """This subgraph grown by the given vertices and edges. Only the new
-        vertices and edges are checked against the host, and the caches are
-        updated from the vertices they touch."""
-        host = self.host
-        fresh = set(new_vertices) - self.vertices
-        for v in fresh:
-            if not host.has_vertex(v):
-                raise GraphError(f"subgraph vertex {v} not in host")
-        grown = SubgraphF.__new__(SubgraphF)
-        grown.host = host
-        grown.vertices = self.vertices | fresh
-        added = {edge_key(u, v) for u, v in new_edges} - self.edges
-        grown.edges = self.edges | added
-        grown._deg = deg = self._deg.copy()
-        touched = set(fresh)
-        for u, v in added:
-            grown._check_edge(u, v)
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-            touched.update((u, v))
-        leaves = set(self.leaves)
-        for v in touched:
-            if deg.get(v) == 1:
-                leaves.add(v)
-            else:
-                leaves.discard(v)
-        # a leaf turns dead when it is new or when one of its outside host
-        # neighbours came in; once dead it stays dead while it is a leaf
-        recheck = {v for v in touched if v in leaves}
-        for v in fresh:
-            recheck |= host._adj[v].keys() & leaves
-        grown.leaves = frozenset(leaves)
-        grown.dead_leaves = self.dead_leaves & leaves | {v for v in recheck if grown._is_closed(v)}
-        grown.cc = self._grown_cc(fresh, added, grown)
-        grown.nongoob = self.nongoob + sum(1 for v in fresh if not is_goober(host, v))
-        return grown
-
-    def _grown_cc(self, fresh: set[int], added: set[tuple[int, int]], grown: "SubgraphF") -> int:
-        """Component count after adding ``fresh`` vertices and ``added``
-        edges, by union-find over the touched vertices only. Each fresh
-        vertex starts a component and each merge ends one; a group's root is
-        an old vertex whenever the group holds one. Only a merge of two groups
-        that both hold old vertices, which may already share a component,
-        needs a count over the whole grown subgraph."""
-        parent = {v: v for e in added for v in e}
-        count = self.cc + len(fresh)
-        for u, v in added:
-            ru, rv = find(parent, u), find(parent, v)
-            if ru == rv:
-                continue
-            if ru in fresh:
-                parent[ru] = rv
-            elif rv in fresh:
-                parent[rv] = ru
-            else:
-                return component_count(grown.vertices, grown.edges)
-            count -= 1
-        return count
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubgraphF):
-            return NotImplemented
-        return (
-            self.host is other.host
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((id(self.host), self.vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SubgraphF(|V|={len(self.vertices)}, |E|={len(self.edges)}, cc={self.cc})"
 

@@ -1,20 +1,15 @@
-"""Leaf-potential machinery: exact potential evaluation of a subgraph, vertex
-expansion, conservative augmentation moves, and a greedy spanning-tree
-heuristic.
-
-The heuristic grows one tree on the input graph until it spans. The paper
-reduces a graph to an irreducible one to prove its bound; the builder does
-not reduce, and has no second component to open or join.
+"""Leaf potential: the tree the greedy builder grows, its exact potential,
+vertex expansion, conservative augmentation moves, and the potential-greedy
+spanning-tree heuristic, which grows one tree on the input graph itself
+until it spans.
 
 All potential arithmetic is exact: values are half-integers stored as their
 doubled integer. The heuristic makes no bound promise; callers compare the
 achieved leaf count against the target ratio themselves.
 
-Every function here takes the subgraph alone and reads its host from
-``f.host``. Every candidate move grows the current subgraph with
-``SubgraphF.with_additions``, which costs the vertices the move touches, and
-the subgraph carries the counts the potential needs, so scoring a candidate
-does not walk the subgraph.
+Every move changes the tree in place. A candidate move is scored by making
+it, reading the potential and undoing it, which costs the vertices it
+touches: the tree carries the counts the potential reads.
 """
 
 from __future__ import annotations
@@ -22,12 +17,83 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, SubgraphF, is_connected, is_goober, n_ge3
+from .graphs import Graph, GraphError, edge_key, is_connected, is_goober, n_ge3
+
+
+class GreedyTree:
+    """One tree inside a host graph that must not change meanwhile. It grows
+    by ``add``, which hangs a vertex off a tree vertex, and shrinks by
+    ``undo`` in the reverse order. ``vertices`` maps each tree vertex, in the
+    order added, to the vertex it hangs off (None for the first). The tree
+    keeps what the potential reads: tree degrees, for each tree vertex the
+    number of its distinct host neighbours outside the tree, the leaves, the
+    dead leaves (leaves with no host neighbour outside) and the number of
+    host non-goobers."""
+
+    __slots__ = ("host", "vertices", "deg", "outside", "leaves", "dead_leaves", "nongoob")
+
+    def __init__(self, host: Graph):
+        self.host = host
+        self.vertices: dict[int, int | None] = {}
+        self.deg: dict[int, int] = {}
+        self.outside: dict[int, int] = {}
+        self.leaves: set[int] = set()
+        self.dead_leaves: set[int] = set()
+        self.nongoob = 0
+
+    def is_spanning(self) -> bool:
+        return len(self.vertices) == self.host.n
+
+    def boundary(self) -> list[int]:
+        """Tree vertices with at least one host neighbour outside."""
+        return [v for v, k in self.outside.items() if k]
+
+    def _settle(self, v: int) -> None:
+        """Leaf and dead-leaf membership of tree vertex v from its counts."""
+        self.leaves.discard(v)
+        self.dead_leaves.discard(v)
+        if self.deg[v] == 1:
+            self.leaves.add(v)
+            if not self.outside[v]:
+                self.dead_leaves.add(v)
+
+    def add(self, v: int, parent: int | None = None) -> None:
+        """Add v, a host vertex outside the tree, hanging off the tree
+        vertex ``parent`` by a host edge; only the first vertex has none."""
+        self.vertices[v] = parent
+        self.deg[v] = 0 if parent is None else 1
+        if parent is not None:
+            self.deg[parent] += 1
+        self.nongoob += not is_goober(self.host, v)
+        outside = 0
+        for w in self.host._adj[v]:
+            if w not in self.vertices:
+                outside += 1
+            elif w != v:
+                self.outside[w] -= 1
+                self._settle(w)
+        self.outside[v] = outside
+        self._settle(v)
+
+    def undo(self, size: int) -> None:
+        """Take back the latest additions until ``size`` vertices remain."""
+        while len(self.vertices) > size:
+            v, parent = self.vertices.popitem()
+            del self.deg[v], self.outside[v]
+            self.leaves.discard(v)
+            self.dead_leaves.discard(v)
+            if parent is not None:
+                self.deg[parent] -= 1
+            self.nongoob -= not is_goober(self.host, v)
+            for w in self.host._adj[v]:
+                if w in self.vertices:
+                    self.outside[w] += 1
+                    self._settle(w)
 
 
 @dataclass(frozen=True)
 class PotentialReport:
-    """Exact snapshot of a subgraph's potential ingredients."""
+    """Exact snapshot of a tree's potential ingredients."""
 
     leaves: int
     dead_leaves: int
@@ -40,103 +106,96 @@ class PotentialReport:
         return Fraction(self.twice_value, 2)
 
 
-def leaf_potential(f: SubgraphF) -> PotentialReport:
-    """2.5*leaves + 0.5*dead - nongoober - 6*components, exactly."""
-    leaves, dead = len(f.leaves), len(f.dead_leaves)
-    twice = 5 * leaves + dead - 2 * f.nongoob - 12 * f.cc
-    return PotentialReport(leaves, dead, f.nongoob, f.cc, twice)
+def leaf_potential(t: GreedyTree) -> PotentialReport:
+    """2.5*leaves + 0.5*dead - nongoober - 6*components, exactly; a tree
+    that is not empty is one component."""
+    leaves, dead, cc = len(t.leaves), len(t.dead_leaves), min(len(t.vertices), 1)
+    twice = 5 * leaves + dead - 2 * t.nongoob - 12 * cc
+    return PotentialReport(leaves, dead, t.nongoob, cc, twice)
 
 
-def expand(f: SubgraphF, v: int) -> SubgraphF:
-    """Grow the subgraph by the closed neighborhood of v: every neighbor not
-    already present is added as a leaf hanging off v. Expanding a vertex
-    outside the subgraph starts a new component."""
-    g = f.host
-    if not g.has_vertex(v):
-        raise GraphError(f"no vertex {v}")
-    fresh = [w for w in g.neighbors(v) if w not in f.vertices and w != v]
-    adds = set(fresh)
-    if v not in f.vertices:
-        adds.add(v)
-    if not adds:
-        return f
-    return f.with_additions(adds, [(v, w) for w in fresh])
+def expand(t: GreedyTree, v: int) -> None:
+    """Grow the tree by the closed neighbourhood of v: every host neighbour
+    outside the tree hangs off v as a new leaf. An empty tree starts at v;
+    v must be a tree vertex otherwise."""
+    fresh = t.host.neighbors(v).difference(t.vertices, (v,))
+    if not t.vertices:
+        t.add(v)
+    elif v not in t.vertices:
+        raise GraphError(f"vertex {v} is not in the tree")
+    for w in fresh:
+        t.add(w, v)
 
 
-def expand_many(f: SubgraphF, vs: list[int]) -> SubgraphF:
-    for v in vs:
-        f = expand(f, v)
-    return f
-
-
-def try_augment(f: SubgraphF) -> SubgraphF | None:
+def try_augment(t: GreedyTree) -> GreedyTree | None:
     """One conservative extension: attach an adjacent goober, expand a
     boundary vertex, or expand a short run out to a nearby high-degree
-    vertex. Every move adds a vertex from outside the subgraph; one is
-    returned only when it adds no component and does not decrease the
-    potential."""
-    if not f.vertices or f.is_spanning():
+    vertex. Every move adds a vertex from outside the tree; the first that
+    does not decrease the potential is kept and the tree returned, and a
+    rejected move is undone."""
+    if not t.vertices or t.is_spanning():
         return None
-    g = f.host
-    base = leaf_potential(f)
+    g = t.host
+    base = leaf_potential(t).twice_value
+    size = len(t.vertices)
 
-    def accept(candidate: SubgraphF) -> bool:
-        return candidate.cc <= f.cc and leaf_potential(candidate).twice_value >= base.twice_value
+    def kept(*path: int) -> bool:
+        """Expand each vertex of ``path`` in turn; keep the move made when it
+        does not decrease the potential, else undo it."""
+        for y in path:
+            expand(t, y)
+        if leaf_potential(t).twice_value >= base:
+            return True
+        t.undo(size)
+        return False
 
-    boundary = sorted(f.boundary())
+    boundary = sorted(t.boundary())
     # adjacent goober attachment
     for w in boundary:
-        for u in sorted(g.neighbors(w)):
-            if u in f.vertices or not is_goober(g, u):
-                continue
-            cand = f.with_additions({u}, [(w, u)])
-            if accept(cand):
-                return cand
+        for u in sorted(g.neighbors(w).difference(t.vertices)):
+            if is_goober(g, u):
+                t.add(u, w)
+                if kept():
+                    return t
     # expanding a boundary vertex is tried when it cannot lose a leaf (it is
     # no leaf itself) or when it gains at least two new ones
     for w in boundary:
-        outside = [u for u in g.neighbors(w) if u not in f.vertices]
-        if w in f.leaves and len(outside) < 2:
-            continue
-        cand = expand(f, w)
-        if accept(cand):
-            return cand
+        if (w not in t.leaves or t.outside[w] >= 2) and kept(w):
+            return t
     # pull in a high-degree vertex at distance one or two
     for w in boundary:
-        for u in sorted(g.neighbors(w) - f.vertices):
-            if g.degree(u) >= 4:
-                cand = expand_many(f, [w, u])
-                if accept(cand):
-                    return cand
-            for x in sorted(g.neighbors(u) - f.vertices - {w}):
-                if g.degree(x) >= 4:
-                    cand = expand_many(f, [w, u, x])
-                    if accept(cand):
-                        return cand
+        for u in sorted(g.neighbors(w).difference(t.vertices)):
+            if g.degree(u) >= 4 and kept(w, u):
+                return t
+            for x in sorted(g.neighbors(u).difference(t.vertices, (w,))):
+                if g.degree(x) >= 4 and kept(w, u, x):
+                    return t
     return None
 
 
-def _greedy_from(g: Graph, start: int) -> SubgraphF:
+def _greedy_from(g: Graph, start: int) -> GreedyTree:
     """One tree grown from the closed neighbourhood of ``start`` until it
     spans the connected host: a conservative augmentation while one
     applies, otherwise the boundary expansion that gives the highest
     potential, lowest vertex on ties (the host is connected, so a tree that
-    does not span has a boundary). Every move adds vertices hanging off the
-    tree, so the subgraph stays one tree throughout."""
-    f = expand(SubgraphF.empty(g), start)
-    while not f.is_spanning():
-        nxt = try_augment(f)
-        if nxt is None:
-            grown = ((w, expand(f, w)) for w in f.boundary())
-            nxt = min(grown, key=lambda wc: (-leaf_potential(wc[1]).twice_value, wc[0]))[1]
-        f = nxt
-    return f
+    does not span has a boundary)."""
+    t = GreedyTree(g)
+    expand(t, start)
+    while not t.is_spanning():
+        if try_augment(t) is None:
+            size, twice = len(t.vertices), {}
+            for w in t.boundary():
+                expand(t, w)
+                twice[w] = leaf_potential(t).twice_value
+                t.undo(size)
+            expand(t, max(twice, key=lambda w: (twice[w], -w)))
+    return t
 
 
-def _best_from_every_start(g: Graph) -> SubgraphF:
+def _best_from_every_start(g: Graph) -> GreedyTree:
     """The potential-greedy tree with the most leaves over all start
     vertices of a connected graph, the first such in vertex order."""
-    return max((_greedy_from(g, start) for start in sorted(g.vertices)), key=lambda f: len(f.leaves))
+    return max((_greedy_from(g, start) for start in sorted(g.vertices)), key=lambda t: len(t.leaves))
 
 
 def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialReport]:
@@ -148,7 +207,7 @@ def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialRepor
     if not is_connected(g):
         raise GraphError("greedy builder requires a connected graph")
     best = _best_from_every_start(g)
-    return set(best.edges), leaf_potential(best)
+    return {edge_key(p, v) for v, p in best.vertices.items() if p is not None}, leaf_potential(best)
 
 
 def heuristic_bound(g: Graph) -> Fraction:

@@ -623,6 +623,78 @@ def reference_chain(g_start: Graph, steps, forest_edges):
     return edges
 
 
+# -- the greedy tree's potential, counted from scratch -----------------------------
+
+
+def reference_potential(g: Graph, vertices, edges) -> tuple[set[int], set[int], int, int]:
+    """Leaves, dead leaves (leaves whose host neighbours all lie in the
+    vertex set), non-goobers and twice the leaf potential of the subgraph of
+    g with the given vertices and edges, all counted afresh."""
+    vertices = set(vertices)
+    deg = {v: 0 for v in vertices}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    leaves = {v for v, d in deg.items() if d == 1}
+    dead = {v for v in leaves if g.neighbors(v) <= vertices}
+    nongoob = sum(1 for v in vertices if g.degree(v) >= 3)
+    cc = len(naive_components(Graph(vertices, edges)))
+    return leaves, dead, nongoob, 5 * len(leaves) + len(dead) - 2 * nongoob - 12 * cc
+
+
+def tree_edges(t) -> set[tuple[int, int]]:
+    """The edges of a ``GreedyTree``, from its parent map."""
+    return {(min(p, v), max(p, v)) for v, p in t.vertices.items() if p is not None}
+
+
+def tree_state(t) -> tuple:
+    """Everything a ``GreedyTree`` holds, in its own iteration orders."""
+    return (
+        list(t.vertices.items()), list(t.deg.items()), list(t.outside.items()),
+        set(t.leaves), set(t.dead_leaves), t.nongoob,
+    )
+
+
+def assert_tree_matches_reference(t) -> None:
+    """A ``GreedyTree`` is one tree of host edges (or empty), and its
+    degrees, outside counts, leaves, dead leaves, non-goobers and potential
+    equal a count from scratch."""
+    from maxleaf.potential import leaf_potential
+
+    g, vertices, edges = t.host, set(t.vertices), tree_edges(t)
+    assert all(g.has_edge(u, v) for u, v in edges)
+    assert len(edges) == max(len(vertices) - 1, 0)
+    assert len(naive_components(Graph(vertices, edges))) == min(len(vertices), 1)
+    assert t.deg == {v: sum(v in e for e in edges) for v in vertices}
+    assert t.outside == {v: len(g.neighbors(v) - vertices) for v in vertices}
+    leaves, dead, nongoob, twice = reference_potential(g, vertices, edges)
+    assert (t.leaves, t.dead_leaves, t.nongoob) == (leaves, dead, nongoob)
+    assert leaf_potential(t).twice_value == twice
+
+
+@pytest.fixture
+def checked_growth(monkeypatch):
+    """Checks the tree after every ``GreedyTree.add`` and ``undo`` against
+    the count from scratch, and tallies the calls."""
+    from maxleaf.potential import GreedyTree
+
+    tally = {"add": 0, "undo": 0}
+
+    def checked(name):
+        original = getattr(GreedyTree, name)
+
+        def call(t, *args):
+            original(t, *args)
+            assert_tree_matches_reference(t)
+            tally[name] += 1
+
+        monkeypatch.setattr(GreedyTree, name, call)
+
+    checked("add")
+    checked("undo")
+    return tally
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -133,6 +133,13 @@ def test_maximize_exact_and_heuristic(capsys, q3_file):
     assert verify_spanning_tree(q3(), tree)
 
 
+def test_maximize_heuristic_cap_exit_2(capsys, q3_file):
+    code, out, err = run(capsys, "maximize", "--heuristic", "--cap", "5", q3_file)
+    assert code == 2 and out == "" and err == "error: --cap is read only with --exact\n"
+    code, _, err = run(capsys, "maximize", "--exact", "--cap", "5", q3_file)
+    assert code == 2 and err == "error: instance has 8 > 5 vertices\n"
+
+
 def test_reduce_trace_and_replay(capsys, tmp_path):
     # a reducible invariant graph: diamond with a high-degree connector
     from maxleaf.graphs import Graph
@@ -174,6 +181,16 @@ def test_reduce_k_without_fpt_exit_2(capsys, tmp_path, k):
     assert code == 2 and out == "" and err == "error: -k is read only with --fpt\n"
 
 
+@pytest.mark.parametrize("option", [("--fpt",), ("-k", "3"), ("--trace", "{dir}/out.jsonl")], ids=["fpt", "k", "trace"])
+def test_reduce_replay_with_other_options_exit_2(capsys, tmp_path, q3_file, option):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    argv = [part.format(dir=tmp_path) for part in option]
+    code, out, err = run(capsys, "reduce", q3_file, "--replay", str(trace), *argv)
+    assert code == 2 and out == "" and err == "error: --replay takes no --fpt, -k or --trace\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_suppress_output(capsys, tmp_path):
     from maxleaf.graphs import Graph
 
@@ -208,8 +225,9 @@ def test_verify_samples_below_one_exit_2(capsys, samples):
 
 
 def test_verify_unknown_check_fails(capsys):
-    code, out, _ = run(capsys, "verify", "nonsense")
-    assert code == 1 and "FAIL" in out
+    code, out, err = run(capsys, "verify", "q3", "nonsense")
+    assert code == 2 and out == ""
+    assert err == "error: unknown check nonsense (choose from g7 q3 flowerbed theorem1-sample)\n"
 
 
 def test_version(capsys):

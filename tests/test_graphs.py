@@ -11,7 +11,6 @@ from maxleaf.graphs import (
     GraphError,
     ParseError,
     RangeError,
-    SubgraphF,
     component_count,
     components_meeting,
     connected_components,
@@ -355,47 +354,3 @@ def test_suppress_rejects_a_parallel_edge_at_a_degree_2_vertex():
     with pytest.raises(GraphError, match="parallel edge at a degree-2 vertex"):
         suppress(g)
 
-
-# -- subgraphs -----------------------------------------------------------------------
-
-
-def test_subgraph_validates_edges():
-    g = Graph(edges=[(1, 2), (2, 3)])
-    with pytest.raises(GraphError):
-        SubgraphF(g, {1, 2}, [(1, 3)])
-    with pytest.raises(GraphError):
-        SubgraphF(g, {1}, [(1, 2)])
-
-
-def test_subgraph_cached_fields_match_recompute(rng):
-    for _ in range(40):
-        n = rng.randint(3, 9)
-        g = random_multigraph(n, rng.randint(2, 14), rng)
-        vs = {v for v in g.vertices if rng.random() < 0.7}
-        pool = [e for e in set(g.edges()) if e[0] in vs and e[1] in vs and e[0] != e[1]]
-        es = {e for e in pool if rng.random() < 0.6}
-        f = SubgraphF(g, vs, es)
-        deg = {v: 0 for v in vs}
-        for u, v in es:
-            deg[u] += 1
-            deg[v] += 1
-        assert f.leaves == frozenset(v for v in vs if deg[v] == 1)
-        assert f.dead_leaves == frozenset(
-            v for v in f.leaves if all(w in vs for w in g.neighbors(v))
-        )
-        seen = set()
-        parts = 0
-        for s in vs:
-            if s in seen:
-                continue
-            parts += 1
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                for a, b in es:
-                    other = b if a == x else (a if b == x else None)
-                    if other is not None and other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        assert f.cc == parts

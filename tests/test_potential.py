@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf.graphs import Graph, GraphError, SubgraphF, edge_key, n_ge3
-from maxleaf import reductions
+from maxleaf.graphs import Graph, GraphError, n_ge3
+from maxleaf import potential, reductions
 from maxleaf.generators import flowerbed, g7, necklace_ring, q3, random_invariant_graph
 from maxleaf.potential import (
+    GreedyTree,
+    PotentialReport,
     expand,
-    expand_many,
     greedy_spanning_tree,
     heuristic_bound,
     leaf_potential,
@@ -18,50 +19,82 @@ from maxleaf.potential import (
 )
 from maxleaf.solver import tree_leaf_count, verify_spanning_tree
 
-from conftest import random_connected, random_loopless_multigraph
+from conftest import (
+    assert_tree_matches_reference,
+    random_connected,
+    random_loopless_multigraph,
+    reference_potential,
+    tree_edges,
+    tree_state,
+)
 
 
 def path(n):
     return Graph(edges=[(i, i + 1) for i in range(1, n)])
 
 
+def tree(g, first, *hangs):
+    """A ``GreedyTree`` of g from ``first`` and (vertex, parent) additions."""
+    t = GreedyTree(g)
+    t.add(first)
+    for v, parent in hangs:
+        t.add(v, parent)
+    return t
+
+
+def random_tree(g: Graph, rng: random.Random) -> GreedyTree:
+    """A tree grown from a random vertex by random expansions and random
+    single vertices hung off the boundary."""
+    t = GreedyTree(g)
+    expand(t, rng.choice(sorted(g.vertices)))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            expand(t, rng.choice(sorted(t.vertices)))
+        elif t.boundary():
+            w = rng.choice(sorted(t.boundary()))
+            t.add(rng.choice(sorted(g.neighbors(w) - t.vertices.keys())), w)
+    return t
+
+
 # -- potential arithmetic ---------------------------------------------------------
 
 
 def test_empty_subgraph_has_zero_potential():
-    g = q3()
-    rep = leaf_potential(SubgraphF.empty(g))
+    rep = leaf_potential(GreedyTree(q3()))
     assert rep.twice_value == 0 and rep.cc == 0
 
 
 def test_path4_spanning_potential_is_zero():
     g = path(4)
-    f = SubgraphF(g, g.vertices, list(g.edges()))
-    rep = leaf_potential(f)
+    t = GreedyTree(g)
+    expand(t, 2)
+    expand(t, 3)
+    rep = leaf_potential(t)
+    assert tree_edges(t) == {(1, 2), (2, 3), (3, 4)}
     assert (rep.leaves, rep.dead_leaves, rep.nongoob, rep.cc) == (2, 2, 0, 1)
     assert rep.twice_value == 0
     assert rep.value == 0
 
 
 def test_spanning_forest_formula():
-    # spanning subgraph: potential reduces to 3*leaves - high-degree count - 6cc
+    # spanning tree: potential reduces to 3*leaves - high-degree count - 6
     g = q3()
-    f = SubgraphF(g, g.vertices, [(1, 2), (1, 3), (1, 5), (2, 4), (3, 7), (5, 6), (4, 8)])
-    rep = leaf_potential(f)
-    assert rep.dead_leaves == rep.leaves
-    assert rep.twice_value == 2 * (3 * rep.leaves - n_ge3(g) - 6 * rep.cc)
+    t = tree(g, 1, (2, 1), (3, 1), (5, 1), (4, 2), (7, 3), (6, 5), (8, 4))
+    rep = leaf_potential(t)
+    assert rep.dead_leaves == rep.leaves and rep.cc == 1
+    assert rep.twice_value == 2 * (3 * rep.leaves - n_ge3(g) - 6)
 
 
 def test_potential_is_exact_half_integers(rng):
     for _ in range(50):
         g = random_connected(rng.randint(3, 9), rng.randint(0, 5), rng)
-        vs = {v for v in g.vertices if rng.random() < 0.6}
-        es = {e for e in set(g.edges()) if e[0] in vs and e[1] in vs and rng.random() < 0.6}
-        rep = leaf_potential(SubgraphF(g, vs, es))
+        t = random_tree(g, rng)
+        rep = leaf_potential(t)
         assert isinstance(rep.twice_value, int)
         assert rep.value == Fraction(rep.twice_value, 2)
         assert rep.dead_leaves <= rep.leaves
-        assert rep.nongoob <= len(vs)
+        assert rep.nongoob <= len(t.vertices)
+        assert rep.twice_value == reference_potential(g, t.vertices, tree_edges(t))[3]
 
 
 # -- expansion ---------------------------------------------------------------------
@@ -81,146 +114,106 @@ def hub_with_degree(k):
 
 def test_expand_degree5_hub_from_empty():
     g = hub_with_degree(5)
-    f0 = SubgraphF.empty(g)
-    f1 = expand(f0, 1)
-    assert f1.cc == 1  # new component
-    p0, p1 = leaf_potential(f0), leaf_potential(f1)
+    t = GreedyTree(g)
+    p0 = leaf_potential(t)
+    expand(t, 1)
+    p1 = leaf_potential(t)
+    assert p1.cc == 1  # the tree's one component
     assert (p1.nongoob - p0.nongoob, p1.leaves - p0.leaves, p1.dead_leaves - p0.dead_leaves) == (6, 5, 0)
-    assert p1.twice_value - p0.twice_value == 13 - 12  # 6.5 beats the new-component charge of 6
+    assert p1.twice_value - p0.twice_value == 13 - 12  # 6.5 beats the component charge of 6
 
 
 def test_expand_non_leaf_boundary_is_free():
     # cycle with one outward spur: the spur root sits on the boundary
     # without being a leaf, so expanding it can only add leaves
     g = Graph(edges=[(1, 2), (2, 3), (3, 4), (4, 1), (2, 9), (9, 10), (9, 11)])
-    f = SubgraphF(g, {1, 2, 3}, [(1, 2), (2, 3)])
-    assert 2 in f.boundary() and 2 not in f.leaves
-    f2 = expand(f, 2)
-    p, p2 = leaf_potential(f), leaf_potential(f2)
-    assert f2.cc == f.cc
-    assert p2.leaves - p.leaves == 1 and 9 in f2.leaves
+    t = tree(g, 1, (2, 1), (3, 2))
+    assert 2 in t.boundary() and 2 not in t.leaves
+    p = leaf_potential(t)
+    expand(t, 2)
+    p2 = leaf_potential(t)
+    assert p2.leaves - p.leaves == 1 and 9 in t.leaves
     assert p2.twice_value >= p.twice_value
 
 
 def test_expand_inside_vertex_is_identity():
     g = q3()
-    f = expand_many(SubgraphF.empty(g), [1, 2])
-    inner = [v for v in f.vertices if all(w in f.vertices for w in g.neighbors(v))]
-    if inner:
-        assert expand(f, inner[0]) == f
-
-
-def assert_matches_scratch(f: SubgraphF) -> None:
-    """The caches of a grown subgraph equal those of the same subgraph built
-    from scratch, its non-goober count equals a recount of the host degrees,
-    and so do the potential reports of the two."""
-    fresh = SubgraphF(f.host, f.vertices, f.edges)
-    assert f.leaves == fresh.leaves
-    assert f.dead_leaves == fresh.dead_leaves
-    assert f.cc == fresh.cc
-    assert f.nongoob == fresh.nongoob == sum(1 for v in f.vertices if f.host.degree(v) > 2)
-    assert leaf_potential(f) == leaf_potential(fresh)
+    t = GreedyTree(g)
+    expand(t, 1)
+    expand(t, 2)
+    inner = [v for v in t.vertices if g.neighbors(v) <= t.vertices.keys()]
+    assert inner
+    before = tree_state(t)
+    expand(t, inner[0])
+    assert tree_state(t) == before
 
 
 def test_expand_deltas_match_recomputation(rng):
     for _ in range(1000):
         g = random_connected(rng.randint(3, 9), rng.randint(0, 6), rng)
-        f = SubgraphF.empty(g)
-        for _ in range(rng.randint(0, 3)):
-            f = expand(f, rng.choice(sorted(g.vertices)))
+        t = random_tree(g, rng)
+        assert_tree_matches_reference(t)
         v = rng.choice(sorted(g.vertices))
-        f2 = expand(f, v)
-        assert_matches_scratch(f2)
-        if v not in f.vertices:
-            assert f2.cc == f.cc + 1 or f2 == f
-        newly = f2.vertices - f.vertices - {v}
-        assert newly <= f2.leaves | {v}
-
-
-@pytest.fixture
-def checked_growth(monkeypatch):
-    """Checks every subgraph that ``with_additions`` returns against a
-    from-scratch build, and tallies the growths that add an edge between two
-    vertices the subgraph already had."""
-    grow = SubgraphF.with_additions
-    tally = {"calls": 0, "old_joins": 0}
-
-    def checked(self, new_vertices, new_edges):
-        new_vertices, new_edges = list(new_vertices), list(new_edges)
-        grown = grow(self, new_vertices, new_edges)
-        assert grown.vertices == self.vertices | set(new_vertices)
-        assert grown.edges == self.edges | {edge_key(u, v) for u, v in new_edges}
-        assert_matches_scratch(grown)
-        tally["calls"] += 1
-        tally["old_joins"] += any(u in self.vertices and v in self.vertices for u, v in new_edges)
-        return grown
-
-    monkeypatch.setattr(SubgraphF, "with_additions", checked)
-    return tally
-
-
-def random_growth(g: Graph, rng: random.Random) -> SubgraphF:
-    """A random sequence of the moves the builder makes, plus raw additions of
-    host vertices and edges, some of whose edges close cycles or join
-    components through a new vertex."""
-    f = SubgraphF.empty(g)
-    order = sorted(g.vertices)
-    for _ in range(rng.randint(1, 8)):
-        move = rng.randrange(4)
-        if move == 0:
-            f = expand(f, rng.choice(order))
-        elif move == 1:
-            f = expand_many(f, rng.sample(order, min(3, len(order))))
-        elif move == 2 and f.vertices and not f.is_spanning():
-            f = try_augment(f) or f  # goober attachment comes first
-        else:
-            vs = f.vertices | {v for v in order if rng.random() < 0.3}
-            es = [e for e in set(g.edges()) if e[0] in vs and e[1] in vs and rng.random() < 0.4]
-            f = f.with_additions(vs - f.vertices, es)
-    return f
+        before, old = tree_state(t), set(t.vertices)
+        if v not in t.vertices:
+            with pytest.raises(GraphError, match="not in the tree"):
+                expand(t, v)
+            assert tree_state(t) == before
+            continue
+        expand(t, v)
+        assert_tree_matches_reference(t)
+        assert set(t.vertices) - old <= t.leaves
+        assert all(t.vertices[w] == v for w in set(t.vertices) - old)
 
 
 def test_incremental_subgraphs_match_scratch(rng, checked_growth):
+    """Random additions and take-backs, on simple graphs and multigraphs,
+    each checked against the count from scratch."""
     for trial in range(300):
         n = rng.randint(2, 10)
         if trial % 2:
             g = random_loopless_multigraph(n, rng.randint(0, 2 * n), rng)
         else:
             g = random_connected(n, rng.randint(0, 2 * n), rng)
-        f = random_growth(g, rng)
-        f.with_additions(g.vertices - f.vertices, ())
-    assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] > 100
+        t = random_tree(g, rng)
+        for _ in range(rng.randint(1, 4)):
+            t.undo(rng.randint(0, len(t.vertices)))
+            if not t.vertices:
+                t.add(rng.choice(sorted(g.vertices)))
+            if t.boundary():
+                expand(t, rng.choice(t.boundary()))
+    assert checked_growth["add"] > 1000 and checked_growth["undo"] > 500
 
 
-def test_greedy_growths_match_scratch(rng, checked_growth, monkeypatch):
-    """Every growth the builder makes matches a from-scratch build and keeps
-    one tree: it adds a vertex hanging off the subgraph, never an edge
-    between two vertices already in it."""
-    grow = SubgraphF.with_additions
+def test_scoring_a_candidate_leaves_the_tree_as_it_was(rng):
+    """Expanding a boundary vertex and taking it back restores every field
+    of the tree, orders included; so does an augmentation that finds no
+    move."""
+    nothing = 0
+    for _ in range(200):
+        g = random_connected(rng.randint(2, 12), rng.randint(0, 8), rng)
+        t = random_tree(g, rng)
+        before, size = tree_state(t), len(t.vertices)
+        for w in t.boundary():
+            expand(t, w)
+            leaf_potential(t)
+            t.undo(size)
+            assert tree_state(t) == before
+        if try_augment(t) is None:
+            nothing += 1
+            assert tree_state(t) == before
+    assert nothing > 20
 
-    def one_tree(self, new_vertices, new_edges):
-        grown = grow(self, new_vertices, new_edges)
-        assert grown.cc == 1 and len(grown.edges) == len(grown.vertices) - 1
-        return grown
 
-    monkeypatch.setattr(SubgraphF, "with_additions", one_tree)
+def test_greedy_growths_match_scratch(rng, checked_growth):
+    """Every addition and take-back the builder makes leaves one tree whose
+    counts match a count from scratch."""
     for _ in range(30):
         greedy_spanning_tree(random_connected(rng.randint(2, 12), rng.randint(0, 8), rng))
     for _ in range(10):
         greedy_spanning_tree(random_loopless_multigraph(rng.randint(2, 10), rng.randint(0, 10), rng))
     greedy_spanning_tree(necklace_ring(3))
-    assert checked_growth["calls"] > 1000 and checked_growth["old_joins"] == 0
-
-
-def test_with_additions_rejects_what_the_host_lacks():
-    g = Graph(edges=[(1, 2), (2, 3), (3, 4)])
-    f = SubgraphF(g, {1, 2, 3}, [(1, 2)])
-    with pytest.raises(GraphError, match="not in host"):
-        f.with_additions((), [(1, 3)])  # both endpoints present, no such host edge
-    with pytest.raises(GraphError, match="outside the vertex set"):
-        f.with_additions((), [(3, 4)])  # a host edge whose endpoint 4 is not added
-    with pytest.raises(GraphError, match="vertex 9 not in host"):
-        f.with_additions({9}, ())
+    assert checked_growth["add"] > 1000 and checked_growth["undo"] > 100
 
 
 # -- augmentation ------------------------------------------------------------------
@@ -228,18 +221,20 @@ def test_with_additions_rejects_what_the_host_lacks():
 
 def test_goober_attach_fires():
     g = path(5)
-    f = expand(SubgraphF.empty(g), 3)
-    f2 = try_augment(f)
-    assert f2 is not None
-    assert leaf_potential(f2).twice_value >= leaf_potential(f).twice_value
-    assert f2.cc == f.cc
+    t = GreedyTree(g)
+    expand(t, 3)
+    p = leaf_potential(t)
+    assert try_augment(t) is t
+    assert len(t.vertices) == 4
+    assert leaf_potential(t).twice_value >= p.twice_value
 
 
 def test_two_outside_neighbors_fires():
     g = hub_with_degree(3)
-    f = expand(SubgraphF.empty(g), 1)
-    f2 = try_augment(f)
-    assert f2 is not None and f2.vertices > f.vertices
+    t = GreedyTree(g)
+    expand(t, 1)
+    old = set(t.vertices)
+    assert try_augment(t) is t and set(t.vertices) > old
 
 
 def test_augment_none_when_nothing_applies():
@@ -253,23 +248,25 @@ def test_augment_none_when_nothing_applies():
         ]
     )
     assert all(g.degree(v) <= 3 for v in g.vertices)
-    f = SubgraphF(g, {1, 2}, [(1, 2)])
-    assert f.boundary() == {1, 2} and f.leaves == frozenset({1, 2})
-    assert try_augment(f) is None
+    t = tree(g, 1, (2, 1))
+    assert sorted(t.boundary()) == [1, 2] and t.leaves == {1, 2}
+    before = tree_state(t)
+    assert try_augment(t) is None
+    assert tree_state(t) == before
 
 
 def test_augment_contract_on_fuzz(rng):
     for _ in range(120):
         g = random_connected(rng.randint(4, 10), rng.randint(0, 5), rng)
-        f = expand(SubgraphF.empty(g), rng.choice(sorted(g.vertices)))
+        t = GreedyTree(g)
+        expand(t, rng.choice(sorted(g.vertices)))
         for _ in range(4):
-            nxt = try_augment(f)
-            if nxt is None:
+            old, base = set(t.vertices), leaf_potential(t).twice_value
+            if try_augment(t) is None:
                 break
-            assert nxt.vertices >= f.vertices and (nxt.vertices, nxt.edges) != (f.vertices, f.edges)
-            assert nxt.cc <= f.cc
-            assert leaf_potential(nxt).twice_value >= leaf_potential(f).twice_value
-            f = nxt
+            assert set(t.vertices) > old
+            assert leaf_potential(t).twice_value >= base
+            assert_tree_matches_reference(t)
 
 
 # -- greedy builder ----------------------------------------------------------------
@@ -304,21 +301,36 @@ def test_greedy_outputs_spanning_trees(rng):
             assert rep.leaves >= 2
 
 
-def rebuilt_from_scratch(self, new_vertices, new_edges):
-    """``with_additions`` as a full construction of the grown subgraph."""
-    return SubgraphF(
-        self.host,
-        self.vertices | set(new_vertices),
-        set(self.edges) | {edge_key(u, v) for u, v in new_edges},
-    )
+def scratch_potential(t: GreedyTree) -> PotentialReport:
+    """``leaf_potential`` counted from scratch."""
+    leaves, dead, nongoob, twice = reference_potential(t.host, t.vertices, tree_edges(t))
+    return PotentialReport(len(leaves), len(dead), nongoob, min(len(t.vertices), 1), twice)
 
 
 def test_incremental_growth_keeps_the_same_trees(rng, monkeypatch):
     graphs = [random_connected(rng.randint(2, 12), rng.randint(0, 8), rng) for _ in range(40)]
     graphs += [necklace_ring(r) for r in range(2, 6)] + [flowerbed(i) for i in (2, 3)]
     grown = [greedy_spanning_tree(g) for g in graphs]
-    monkeypatch.setattr(SubgraphF, "with_additions", rebuilt_from_scratch)
+    monkeypatch.setattr(potential, "leaf_potential", scratch_potential)
     assert [greedy_spanning_tree(g) for g in graphs] == grown
+
+
+def test_greedy_output_is_pinned():
+    """The builder's trees on the named families and the first random
+    invariant graphs: their leaf counts, and for g7 and q3, whose trees a
+    changed tie-break alters, their edges. Each is a spanning tree whose
+    leaves are all dead and whose non-goobers are the host's, so its
+    potential follows from its leaf count."""
+    assert greedy_spanning_tree(g7())[0] == {(1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 7)}
+    assert greedy_spanning_tree(q3())[0] == {(1, 2), (1, 3), (1, 5), (2, 4), (2, 6), (3, 7), (4, 8)}
+    named = [g7(), q3()] + [necklace_ring(r) for r in range(2, 7)] + [flowerbed(i) for i in (2, 3)]
+    cases = list(zip(named, [4, 4, 4, 5, 6, 7, 8, 10, 14]))
+    for t, leaves in ((2, [6, 11, 13, 17]), (3, [8, 15, 18, 23])):
+        cases += [(random_invariant_graph(n, t, 0), k) for n, k in zip((12, 20, 28, 36), leaves)]
+    for g, leaves in cases:
+        edges, rep = greedy_spanning_tree(g)
+        assert verify_spanning_tree(g, sorted(edges)) and tree_leaf_count(edges) == leaves
+        assert rep == PotentialReport(leaves, leaves, n_ge3(g), 1, 6 * leaves - 2 * n_ge3(g) - 12)
 
 
 def test_greedy_never_reduces(monkeypatch):
@@ -349,8 +361,9 @@ def test_heuristic_bound_value():
 def test_accepted_extensions_never_lose_potential(seed):
     rng = random.Random(seed)
     g = random_connected(rng.randint(3, 9), rng.randint(0, 4), rng)
-    f = expand(SubgraphF.empty(g), min(g.vertices))
-    nxt = try_augment(f)
-    if nxt is not None:
-        assert f.vertices < nxt.vertices or f.edges < nxt.edges
-        assert leaf_potential(nxt).twice_value >= leaf_potential(f).twice_value
+    t = GreedyTree(g)
+    expand(t, min(g.vertices))
+    old, base = set(t.vertices), leaf_potential(t).twice_value
+    if try_augment(t) is not None:
+        assert old < set(t.vertices)
+        assert leaf_potential(t).twice_value >= base
