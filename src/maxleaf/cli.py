@@ -210,12 +210,16 @@ def cmd_suppress(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.family != "random" and (args.n, args.min_degree, args.seed) != (None, None, None):
+        raise InputError("--n, --min-degree and --seed are read only with --family random")
+    if args.param is not None and args.family not in ("necklace", "necklace-ring", "flowerbed"):
+        raise InputError("--param is read only with --family necklace, necklace-ring or flowerbed")
     spec = FamilySpec(
         family=args.family,
         k=args.param,
         n=args.n,
-        min_degree_target=args.min_degree,
-        seed=args.seed,
+        min_degree_target=3 if args.min_degree is None else args.min_degree,
+        seed=0 if args.seed is None else args.seed,
     )
     g = generate(spec)
     text = write_graph(g, comment=f"family {args.family}")
@@ -332,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--family", choices=family_names(), required=True)
     gp.add_argument("--param", type=int, default=None, help="k for necklaces/rings, i for flowerbeds")
     gp.add_argument("--n", type=int, default=None, help="size for random graphs")
-    gp.add_argument("--min-degree", type=int, default=3)
-    gp.add_argument("--seed", type=int, default=0)
+    gp.add_argument("--min-degree", type=int, default=None, help="for random graphs (default 3)")
+    gp.add_argument("--seed", type=int, default=None, help="for random graphs (default 0)")
     gp.add_argument("--dot", action="store_true", help="emit DOT instead of the text format")
     gp.add_argument("-o", "--output")
     gp.set_defaults(func=cmd_generate)

@@ -128,11 +128,10 @@ def expand(t: GreedyTree, v: int) -> None:
 
 
 def try_augment(t: GreedyTree) -> GreedyTree | None:
-    """One conservative extension: attach an adjacent goober, expand a
-    boundary vertex, or expand a short run out to a nearby high-degree
-    vertex. Every move adds a vertex from outside the tree; the first that
-    does not decrease the potential is kept and the tree returned, and a
-    rejected move is undone."""
+    """One conservative extension: expand a boundary vertex, or expand a
+    short run out to a nearby high-degree vertex. Every move adds a vertex
+    from outside the tree; the first that does not decrease the potential is
+    kept and the tree returned, and a rejected move is undone."""
     if not t.vertices or t.is_spanning():
         return None
     g = t.host
@@ -150,13 +149,6 @@ def try_augment(t: GreedyTree) -> GreedyTree | None:
         return False
 
     boundary = sorted(t.boundary())
-    # adjacent goober attachment
-    for w in boundary:
-        for u in sorted(g.neighbors(w).difference(t.vertices)):
-            if is_goober(g, u):
-                t.add(u, w)
-                if kept():
-                    return t
     # expanding a boundary vertex is tried when it cannot lose a leaf (it is
     # no leaf itself) or when it gains at least two new ones
     for w in boundary:
@@ -176,19 +168,16 @@ def try_augment(t: GreedyTree) -> GreedyTree | None:
 def _greedy_from(g: Graph, start: int) -> GreedyTree:
     """One tree grown from the closed neighbourhood of ``start`` until it
     spans the connected host: a conservative augmentation while one
-    applies, otherwise the boundary expansion that gives the highest
-    potential, lowest vertex on ties (the host is connected, so a tree that
-    does not span has a boundary)."""
+    applies, otherwise an expansion of the lowest boundary vertex (the host
+    is connected, so a tree that does not span has a boundary). The
+    expansions try_augment tries never lower the potential, so this runs
+    only when every boundary vertex is a leaf with one outside neighbour,
+    where each expansion trades one leaf for one."""
     t = GreedyTree(g)
     expand(t, start)
     while not t.is_spanning():
         if try_augment(t) is None:
-            size, twice = len(t.vertices), {}
-            for w in t.boundary():
-                expand(t, w)
-                twice[w] = leaf_potential(t).twice_value
-                t.undo(size)
-            expand(t, max(twice, key=lambda w: (twice[w], -w)))
+            expand(t, min(t.boundary()))
     return t
 
 

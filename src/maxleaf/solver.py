@@ -442,7 +442,7 @@ def _search(g, s, k, stats, side=None) -> int | None:
         side = "kept" if kept_bound < forced_bound else "forced"
     stats.search_side = side
     if side == "kept":
-        return _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must)
+        return _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must, gain_cap)
     probe = expansion_tree(g)
     leaves = tree_leaves(probe)
     stats.probe_leaves = len(leaves)
@@ -451,17 +451,23 @@ def _search(g, s, k, stats, side=None) -> int | None:
     return _search_forced_sets(s, s.mask(big), k, host_leaf_count, stats)
 
 
-def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must) -> int | None:
+def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must, gain_cap) -> int | None:
     """First forced set whose achievable value reaches k, found through its
     kept side: the connected dominating sets of the suppressed graph with
     at most ``top_kept`` vertices that hold every ``must`` bit, by size and
     then as _connected_sets yields them. They grow from the lowest ``must``
     bit, or with none from each smallest member in turn. Each evaluated set
-    counts in ``subsets_enumerated``."""
+    counts in ``subsets_enumerated``.
+
+    With no gain possible (``gain_cap`` 0) a set is worth |F| + host leaves,
+    and a kept set grown by a neighbour stays connected, dominating and
+    holding ``must``: one of at most ``top_kept`` vertices exists iff one of
+    exactly that many does, so only the top size is enumerated."""
     n = len(s.adj)
     spread = _spread(s.adj)
     smallest = max(1, must.bit_count(), _fewest_internal(n, spread))
-    for size in range(smallest, min(top_kept, n) + 1):
+    sizes = range(smallest, min(top_kept, n) + 1)
+    for size in sizes if gain_cap else sizes[-1:]:
         roots = (must & -must,) if must else (1 << p for p in range(n - size + 1))
         for root in roots:
             for kept in _connected_sets(s.adj, spread, root, size, 0 if must else root - 1, must):

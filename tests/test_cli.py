@@ -117,6 +117,40 @@ def test_generate_bad_param(capsys):
     assert code == 2 and "error" in err
 
 
+RANDOM_ONLY = "error: --n, --min-degree and --seed are read only with --family random\n"
+PARAM_ONLY = "error: --param is read only with --family necklace, necklace-ring or flowerbed\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--family", "q3", "--n", "10"], RANDOM_ONLY),
+        (["--family", "q3", "--seed", "5"], RANDOM_ONLY),
+        (["--family", "flowerbed", "--min-degree", "3"], RANDOM_ONLY),
+        (["--family", "necklace", "--seed", "0"], RANDOM_ONLY),
+        (["--family", "q3", "--param", "3"], PARAM_ONLY),
+        (["--family", "random", "--n", "12", "--param", "3"], PARAM_ONLY),
+    ],
+    ids=["n-q3", "seed-q3", "min-degree-flowerbed", "seed-necklace", "param-q3", "param-random"],
+)
+def test_generate_unused_option_exit_2(capsys, extra, message):
+    code, out, err = run(capsys, "generate", *extra)
+    assert code == 2 and out == "" and err == message
+
+
+def test_generate_random_defaults(capsys):
+    """--min-degree 3 and --seed 0 are the defaults of the random family."""
+    code, plain, _ = run(capsys, "generate", "--family", "random", "--n", "20")
+    assert code == 0
+    code, explicit, _ = run(capsys, "generate", "--family", "random", "--n", "20", "--min-degree", "3", "--seed", "0")
+    assert code == 0 and explicit == plain
+    code, other, _ = run(capsys, "generate", "--family", "random", "--n", "20", "--seed", "1")
+    assert code == 0 and other != plain
+    for family, param in (("necklace", "2"), ("necklace-ring", "3"), ("flowerbed", "2")):
+        code, _, _ = run(capsys, "generate", "--family", family, "--param", param)
+        assert code == 0
+
+
 def test_maximize_exact_and_heuristic(capsys, q3_file):
     code, out, _ = run(capsys, "maximize", "--exact", q3_file, "--json")
     assert code == 0

@@ -207,26 +207,20 @@ def test_scoring_a_candidate_leaves_the_tree_as_it_was(rng):
 
 def test_greedy_growths_match_scratch(rng, checked_growth):
     """Every addition and take-back the builder makes leaves one tree whose
-    counts match a count from scratch."""
+    counts match a count from scratch. The builder takes a move back only
+    when it refuses a pull toward a vertex of degree 4 or more: on a cycle
+    with every edge doubled, each pull adds one leaf and loses one, and two
+    more non-goobers lower the potential."""
     for _ in range(30):
         greedy_spanning_tree(random_connected(rng.randint(2, 12), rng.randint(0, 8), rng))
     for _ in range(10):
         greedy_spanning_tree(random_loopless_multigraph(rng.randint(2, 10), rng.randint(0, 10), rng))
     greedy_spanning_tree(necklace_ring(3))
+    greedy_spanning_tree(Graph(edges=[(i, i % 8 + 1) for i in range(1, 9)] * 2))
     assert checked_growth["add"] > 1000 and checked_growth["undo"] > 100
 
 
 # -- augmentation ------------------------------------------------------------------
-
-
-def test_goober_attach_fires():
-    g = path(5)
-    t = GreedyTree(g)
-    expand(t, 3)
-    p = leaf_potential(t)
-    assert try_augment(t) is t
-    assert len(t.vertices) == 4
-    assert leaf_potential(t).twice_value >= p.twice_value
 
 
 def test_two_outside_neighbors_fires():
@@ -325,7 +319,7 @@ def test_greedy_output_is_pinned():
     assert greedy_spanning_tree(q3())[0] == {(1, 2), (1, 3), (1, 5), (2, 4), (2, 6), (3, 7), (4, 8)}
     named = [g7(), q3()] + [necklace_ring(r) for r in range(2, 7)] + [flowerbed(i) for i in (2, 3)]
     cases = list(zip(named, [4, 4, 4, 5, 6, 7, 8, 10, 14]))
-    for t, leaves in ((2, [6, 11, 13, 17]), (3, [8, 15, 18, 23])):
+    for t, leaves in ((2, [6, 11, 13, 18]), (3, [8, 15, 18, 23])):
         cases += [(random_invariant_graph(n, t, 0), k) for n, k in zip((12, 20, 28, 36), leaves)]
     for g, leaves in cases:
         edges, rep = greedy_spanning_tree(g)

@@ -506,6 +506,26 @@ def test_yes_far_below_the_optimum_needs_no_enumeration(k):
     assert verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= k
 
 
+@pytest.mark.parametrize("k", range(24, 29))
+def test_yes_above_the_probe_enumerates_the_top_size_only(k, monkeypatch):
+    # no suppressed cost and no loop, so only kept sets of the top size are
+    # enumerated: one set each, where climbing from the smallest size took
+    # 8-11 s per k; the probe has 24 leaves and the optimum is 28
+    sizes = set()
+    enumerate_sets = solver._connected_sets
+
+    def recorded(adj, spread, root, size, *rest):
+        sizes.add(size)
+        return enumerate_sets(adj, spread, root, size, *rest)
+
+    monkeypatch.setattr(solver, "_connected_sets", recorded)
+    g = random_invariant_graph(40, 3, 0)
+    v = fpt_decide(g, k, want_witness=True)
+    assert v.is_yes and v.stats.search_side == "kept" and v.stats.subsets_enumerated == 1
+    assert len(sizes) == 1
+    assert verify_spanning_tree(g, v.witness) and tree_leaf_count(v.witness) >= k
+
+
 def test_shortcut_witness_is_the_expansion_tree():
     g = random_invariant_graph(160, 3, 0)
     v = fpt_decide(g, 53, want_witness=True)
