@@ -124,91 +124,41 @@ def find_cubic_diamonds(g: Graph) -> list[PatternMatch]:
     return out
 
 
-def _chain_blocks(g: Graph, blocks: list[_Block]) -> list[list[_Block]]:
-    """Assemble blocks into maximal chains glued at shared degree-4 junction
-    vertices. Cyclic arrangements have no free ends and are dropped."""
-    by_conn: dict[int, list[int]] = {}
-    for idx, b in enumerate(blocks):
-        for c in b.conns:
-            by_conn.setdefault(c, []).append(idx)
-
-    def junction(c: int) -> bool:
-        return len(by_conn.get(c, [])) == 2 and g.degree(c) == 4
-
-    chains = []
-    used = set()
-    for idx, b in enumerate(blocks):
-        if idx in used:
-            continue
-        free = [c for c in b.conns if not junction(c)]
-        if not free:
-            continue  # interior of a chain, or part of a cycle of blocks
-        # walk from a free end
-        chain = [idx]
-        used.add(idx)
-        cur = idx
-        start_conn = free[0]
-        other = b.conns[0] if b.conns[1] == start_conn else b.conns[1]
-        while junction(other):
-            nxts = [j for j in by_conn[other] if j != cur]
-            if not nxts or nxts[0] in used:
-                break
-            cur = nxts[0]
-            used.add(cur)
-            chain.append(cur)
-            nb = blocks[cur]
-            other = nb.conns[0] if nb.conns[1] == other else nb.conns[1]
-        chains.append(chain)
-    return [[blocks[i] for i in chain] for chain in chains]
-
-
-def _chain_role_order(g: Graph, chain: list[_Block]) -> tuple[tuple[int, ...], int, int] | None:
-    """Canonical vertex tuple for a chain, plus its two end connectors."""
-    # junction between consecutive blocks
-    def shared(a: _Block, b: _Block) -> int | None:
-        common = set(a.conns) & set(b.conns)
-        return next(iter(common)) if len(common) == 1 else None
-
-    if len(chain) == 1:
-        b = chain[0]
-        c1, c2 = b.conns
-        return (c1, b.inner[0], b.inner[1], c2), c1, c2
-
-    first, last = chain[0], chain[-1]
-    j0 = shared(first, chain[1])
-    jn = shared(last, chain[-2])
-    if j0 is None or jn is None:
-        return None
-    c1 = first.conns[0] if first.conns[1] == j0 else first.conns[1]
-    c2 = last.conns[0] if last.conns[1] == jn else last.conns[1]
-    if c2 < c1:
-        chain = list(reversed(chain))
-        c1, c2 = c2, c1
-    verts: list[int] = [c1]
-    prev_end = c1
-    for b in chain:
-        verts.extend(b.inner)
-        nxt = b.conns[0] if b.conns[1] == prev_end else b.conns[1]
-        verts.append(nxt)
-        prev_end = nxt
-    return tuple(verts), c1, c2
-
-
 def find_2necklaces(g: Graph) -> list[PatternMatch]:
     """Maximal diamond chains whose only terminals are the two free end
     connectors, both of host degree 3. The edge c1-c2 may exist (the closed
     form); every other extra adjacency is excluded by the exact-degree
-    conditions on the non-terminal vertices."""
-    blocks = _diamond_blocks(g)
+    conditions on the non-terminal vertices.
+
+    A junction is a connector of host degree 4 in exactly two blocks; any
+    other connector is a free end. One walk from each free end of each block
+    appends the block's inner pair and far connector and crosses each
+    junction into its other block, so it cannot branch or come back, and
+    blocks closed into a cycle have no free end. A chain is kept from its
+    smaller end, which gives its vertices in role order."""
+    by_conn: dict[int, list[_Block]] = {}
+    for b in _diamond_blocks(g):
+        for c in b.conns:
+            by_conn.setdefault(c, []).append(b)
+
+    def junction(c: int) -> bool:
+        return len(by_conn[c]) == 2 and g.degree(c) == 4
+
     matches = []
-    for chain in _chain_blocks(g, blocks):
-        role = _chain_role_order(g, chain)
-        if role is None:
+    for start, start_blocks in by_conn.items():
+        if junction(start):
             continue
-        verts, c1, c2 = role
-        if g.degree(c1) != 3 or g.degree(c2) != 3 or c1 == c2:
-            continue
-        matches.append(PatternMatch(KIND_2NECKLACE, verts, tuple(sorted((c1, c2))), k=len(chain)))
+        for block in start_blocks:
+            verts, near = [start], start
+            while True:
+                far = block.conns[1] if block.conns[0] == near else block.conns[0]
+                verts += [*block.inner, far]
+                if not junction(far):
+                    break
+                block = next(b for b in by_conn[far] if b is not block)
+                near = far
+            if start < far and g.degree(start) == 3 and g.degree(far) == 3:
+                matches.append(PatternMatch(KIND_2NECKLACE, tuple(verts), (start, far), k=len(verts) // 3))
     return _one_per_vertex_set(matches)
 
 
@@ -287,20 +237,12 @@ def find_2terminal(g: Graph, kind: str, starts: Iterable[int] | None = None) -> 
 # -- the invariant ---------------------------------------------------------------
 
 def _component_simple_or_k2e(g: Graph, comp: frozenset[int]) -> bool:
-    multi = []
-    for v in comp:
-        if g.loops_at(v):
-            return False
-        for w in g.neighbors(v):
-            if w > v and g.multiplicity(v, w) > 1:
-                multi.append((v, w, g.multiplicity(v, w)))
-    if not multi:
+    """No edge of the component is a loop or parallel, or it is two vertices
+    of degree 2: a connected pair of degree 2 is a doubled edge, since a
+    loop would raise a degree above 2."""
+    if all(w != v and g.multiplicity(v, w) == 1 for v in comp for w in g.neighbors(v)):
         return True
-    # exactly a two-vertex component joined by a parallel pair
-    if len(comp) != 2 or len(multi) != 1:
-        return False
-    v, w, k = multi[0]
-    return k == 2 and g.degree(v) == 2 and g.degree(w) == 2
+    return len(comp) == 2 and all(g.degree(v) == 2 for v in comp)
 
 
 def check_invariant(g: Graph) -> InvariantReport:

@@ -7,7 +7,7 @@ All potential arithmetic is exact: values are half-integers stored as their
 doubled integer. The heuristic makes no bound promise; callers compare the
 achieved leaf count against the target ratio themselves.
 
-Every move changes the tree in place. A candidate move is scored by making
+Every move changes the tree in place. A candidate pull is scored by making
 it, reading the potential and undoing it, which costs the vertices it
 touches: the tree carries the counts the potential reads.
 """
@@ -130,10 +130,18 @@ def expand(t: GreedyTree, v: int) -> None:
 def try_augment(t: GreedyTree) -> GreedyTree | None:
     """One conservative extension: expand a boundary vertex, or expand a
     short run out to a nearby high-degree vertex. Every move adds a vertex
-    from outside the tree; the first that does not decrease the potential is
-    kept and the tree returned, and a rejected move is undone."""
+    from outside the tree and does not decrease the potential (expansions
+    never do; a pull that does is undone); the tree is returned."""
     if not t.vertices or t.is_spanning():
         return None
+    boundary = sorted(t.boundary())
+    # expanding a boundary vertex that is no leaf, or a leaf with two or more
+    # outside neighbours, never lowers the potential: each new leaf adds 2.5
+    # and costs at most 1 as a non-goober, and a leaf expanded costs 2.5
+    for w in boundary:
+        if w not in t.leaves or t.outside[w] >= 2:
+            expand(t, w)
+            return t
     g = t.host
     base = leaf_potential(t).twice_value
     size = len(t.vertices)
@@ -148,12 +156,6 @@ def try_augment(t: GreedyTree) -> GreedyTree | None:
         t.undo(size)
         return False
 
-    boundary = sorted(t.boundary())
-    # expanding a boundary vertex is tried when it cannot lose a leaf (it is
-    # no leaf itself) or when it gains at least two new ones
-    for w in boundary:
-        if (w not in t.leaves or t.outside[w] >= 2) and kept(w):
-            return t
     # pull in a high-degree vertex at distance one or two
     for w in boundary:
         for u in sorted(g.neighbors(w).difference(t.vertices)):
@@ -169,10 +171,10 @@ def _greedy_from(g: Graph, start: int) -> GreedyTree:
     """One tree grown from the closed neighbourhood of ``start`` until it
     spans the connected host: a conservative augmentation while one
     applies, otherwise an expansion of the lowest boundary vertex (the host
-    is connected, so a tree that does not span has a boundary). The
-    expansions try_augment tries never lower the potential, so this runs
-    only when every boundary vertex is a leaf with one outside neighbour,
-    where each expansion trades one leaf for one."""
+    is connected, so a tree that does not span has a boundary). try_augment
+    expands every other boundary vertex, so this runs only when every
+    boundary vertex is a leaf with one outside neighbour, where each
+    expansion trades one leaf for one."""
     t = GreedyTree(g)
     expand(t, start)
     while not t.is_spanning():

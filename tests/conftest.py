@@ -64,6 +64,25 @@ def plant_blossom(g: Graph, rng: random.Random) -> Graph:
     return g
 
 
+def plant_chain(g: Graph, k: int, rng: random.Random) -> Graph:
+    """Append a chain of k diamonds glued at shared connectors on fresh
+    vertices; each free end gets 0-2 edges back into g, and sometimes the
+    two ends are joined."""
+    old = sorted(g.vertices)
+    base = max(old)
+    chain = list(range(base + 1, base + 3 * k + 2))
+    for j in range(k):
+        c, i1, i2, d = chain[3 * j: 3 * j + 4]
+        for e in [(c, i1), (c, i2), (d, i1), (d, i2), (i1, i2)]:
+            g.add_edge(*e)
+    for end in (chain[0], chain[-1]):
+        for _ in range(rng.randint(0, 2)):
+            g.add_edge(end, rng.choice(old))
+    if rng.random() < 0.2:
+        g.add_edge(chain[0], chain[-1])
+    return g
+
+
 def random_loopless_multigraph(n: int, m: int, rng: random.Random) -> Graph:
     """Connected multigraph on 1..n: a random tree plus ``m`` more edges
     between distinct endpoints, parallels welcome."""
@@ -482,6 +501,94 @@ def brute_2blossoms(g: Graph) -> set[frozenset[int]]:
             out.add(frozenset(seven))
             break
     return out
+
+
+# -- 2-necklaces from assembled chains ---------------------------------------------
+
+
+def _chain_blocks(g: Graph, blocks) -> list:
+    """Assemble blocks into maximal chains glued at shared degree-4 junction
+    vertices. Cyclic arrangements have no free ends and are dropped."""
+    by_conn: dict[int, list[int]] = {}
+    for idx, b in enumerate(blocks):
+        for c in b.conns:
+            by_conn.setdefault(c, []).append(idx)
+
+    def junction(c: int) -> bool:
+        return len(by_conn.get(c, [])) == 2 and g.degree(c) == 4
+
+    chains = []
+    used = set()
+    for idx, b in enumerate(blocks):
+        if idx in used:
+            continue
+        free = [c for c in b.conns if not junction(c)]
+        if not free:
+            continue  # interior of a chain, or part of a cycle of blocks
+        chain = [idx]
+        used.add(idx)
+        cur = idx
+        start_conn = free[0]
+        other = b.conns[0] if b.conns[1] == start_conn else b.conns[1]
+        while junction(other):
+            nxts = [j for j in by_conn[other] if j != cur]
+            if not nxts or nxts[0] in used:
+                break
+            cur = nxts[0]
+            used.add(cur)
+            chain.append(cur)
+            nb = blocks[cur]
+            other = nb.conns[0] if nb.conns[1] == other else nb.conns[1]
+        chains.append(chain)
+    return [[blocks[i] for i in chain] for chain in chains]
+
+
+def _chain_role_order(chain) -> tuple[tuple[int, ...], int, int] | None:
+    """Canonical vertex tuple for a chain, plus its two end connectors."""
+    def shared(a, b) -> int | None:
+        common = set(a.conns) & set(b.conns)
+        return next(iter(common)) if len(common) == 1 else None
+
+    if len(chain) == 1:
+        b = chain[0]
+        c1, c2 = b.conns
+        return (c1, b.inner[0], b.inner[1], c2), c1, c2
+    first, last = chain[0], chain[-1]
+    j0 = shared(first, chain[1])
+    jn = shared(last, chain[-2])
+    if j0 is None or jn is None:
+        return None
+    c1 = first.conns[0] if first.conns[1] == j0 else first.conns[1]
+    c2 = last.conns[0] if last.conns[1] == jn else last.conns[1]
+    if c2 < c1:
+        chain = list(reversed(chain))
+        c1, c2 = c2, c1
+    verts: list[int] = [c1]
+    prev_end = c1
+    for b in chain:
+        verts.extend(b.inner)
+        nxt = b.conns[0] if b.conns[1] == prev_end else b.conns[1]
+        verts.append(nxt)
+        prev_end = nxt
+    return tuple(verts), c1, c2
+
+
+def reference_2necklaces(g: Graph) -> list:
+    """``patterns.find_2necklaces`` as two passes over the diamond blocks:
+    assemble the blocks into chains, then walk each chain again for its
+    junctions, ends and direction. The reference for the one-walk finder."""
+    from maxleaf.patterns import KIND_2NECKLACE, PatternMatch, _diamond_blocks, _one_per_vertex_set
+
+    matches = []
+    for chain in _chain_blocks(g, _diamond_blocks(g)):
+        role = _chain_role_order(chain)
+        if role is None:
+            continue
+        verts, c1, c2 = role
+        if g.degree(c1) != 3 or g.degree(c2) != 3 or c1 == c2:
+            continue
+        matches.append(PatternMatch(KIND_2NECKLACE, verts, tuple(sorted((c1, c2))), k=len(chain)))
+    return _one_per_vertex_set(matches)
 
 
 # -- tree lifting by whole-graph candidate tests ----------------------------------

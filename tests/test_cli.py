@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from maxleaf.cli import main
-from maxleaf.generators import g7, q3
+from maxleaf.generators import g7, necklace, q3
 from maxleaf.graphs import parse_graph, write_graph
 from maxleaf.solver import tree_leaf_count, verify_spanning_tree
 
@@ -88,6 +88,19 @@ def test_detect_json_on_g7_minus(capsys, g7_minus_file):
     assert code == 0
     doc = json.loads(out)
     assert len(doc) == 1 and doc[0]["kind"] == "2-blossom"
+
+
+def test_detect_json_2necklace_in_role_order(capsys):
+    # necklace(3) is 1 (2 3) 4 (5 6) 7 (8 9) 10; a pendant at each end
+    # raises both ends to degree 3
+    g = necklace(3)
+    g.add_edge(1, 11)
+    g.add_edge(10, 12)
+    code, out, _ = run(capsys, "detect", "--pattern", "2necklace", "--json", "-", stdin=write_graph(g))
+    assert code == 0
+    assert json.loads(out) == [
+        {"kind": "2-necklace", "vertices": list(range(1, 11)), "terminals": [1, 10], "k": 3}
+    ]
 
 
 def test_detect_invariant_exit_codes(capsys, q3_file, g7_minus_file):

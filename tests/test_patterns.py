@@ -14,7 +14,15 @@ from maxleaf.patterns import (
     find_cubic_diamonds,
 )
 
-from conftest import brute_2blossoms, brute_cubic_diamonds, random_connected, verify_match
+from conftest import (
+    brute_2blossoms,
+    brute_cubic_diamonds,
+    plant_chain,
+    random_connected,
+    random_loopless_multigraph,
+    reference_2necklaces,
+    verify_match,
+)
 
 
 # -- cubic diamonds -----------------------------------------------------------------
@@ -84,6 +92,30 @@ def test_no_necklace_is_contained_in_another():
     found = find_2necklaces(g)
     for a, b in itertools.permutations(found, 2):
         assert not (a.vertex_set() < b.vertex_set())
+
+
+def test_necklace_walk_matches_two_pass_reference():
+    rng = random.Random(20)
+    graphs = []
+    for _ in range(300):
+        g = random_connected(rng.randint(2, 24), rng.randint(0, 30), rng)
+        for _ in range(rng.randint(0, 2)):
+            plant_chain(g, rng.randint(1, 5), rng)
+        graphs.append(g)
+    graphs += [random_loopless_multigraph(rng.randint(2, 16), rng.randint(0, 24), rng) for _ in range(100)]
+    # closed cycles of blocks: the last connector glued onto the first
+    for k in range(2, 6):
+        g = necklace(k)
+        for w in g.neighbors(3 * k + 1):
+            g.add_edge(1, w)
+        g.remove_vertex(3 * k + 1)
+        graphs.append(g)
+    chain_lengths = set()
+    for trial, g in enumerate(graphs):
+        found = find_2necklaces(g)
+        assert found == reference_2necklaces(g), trial
+        chain_lengths.update(m.k for m in found)
+    assert {1, 2, 3, 4, 5} <= chain_lengths
 
 
 # -- 2-blossoms ---------------------------------------------------------------------
@@ -157,6 +189,13 @@ def test_k2_plus_e_satisfies_invariant():
 
 def test_triple_edge_violates_invariant():
     g = Graph(edges=[(1, 2), (1, 2), (1, 2)])
+    rep = check_invariant(g)
+    assert not rep.ok and rep.violated_clause == "multi-edge"
+
+
+def test_loop_violates_invariant():
+    # a single loop is no parallel edge, but the component is not simple
+    g = Graph(edges=[(1, 2), (2, 3), (3, 1), (1, 1)])
     rep = check_invariant(g)
     assert not rep.ok and rep.violated_clause == "multi-edge"
 
