@@ -4,10 +4,11 @@ The oracle works through the complement: for n >= 3 the internal vertices of
 a spanning tree form a connected dominating set, so the maximum leaf count is
 n minus the smallest one, sought depth-first among connected vertex sets
 only. The decision procedure preprocesses with the two-terminal rules, applies
-the counting shortcuts, refutes k above the degree ceiling (no spanning tree
-has more than n - ceil((n - 2)/(max degree - 1)) leaves), and then searches
-the forced-leaf sets over the suppressed graph from one of two sides,
-whichever has the smaller enumeration bound (``SolveStats.search_side``).
+the counting shortcuts, refutes k above the degree ceiling (a spanning tree
+with i internal vertices has at most 2 + caps[i] vertices, see ``_caps``),
+and then searches the forced-leaf sets over the suppressed graph from one
+of two sides, whichever has the smaller enumeration bound
+(``SolveStats.search_side``).
 The forced side first builds a Kleitman–West leaf-expansion tree in O(m)
 (``expansion_tree``); when it has k leaves, its leaves of degree 3 or more
 are the forced set and nothing is enumerated. Otherwise the forced side goes
@@ -24,7 +25,7 @@ is the expansion tree too, when it has k leaves.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -58,6 +59,7 @@ class SolveStats:
     k_after_preprocess: int = 0
     search_side: str | None = None  # "forced" or "kept"; None when no search ran
     probe_leaves: int | None = None  # leaves of the expansion tree; None when none was built
+    leaf_ceiling: int | None = None  # most leaves the degree ceiling allows; None when not reached
 
 
 @dataclass
@@ -99,13 +101,13 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
         if u != w:
             adj[idx[u]] |= 1 << idx[w]
             adj[idx[w]] |= 1 << idx[u]
-    spread = _spread(adj)
+    caps = _caps(a.bit_count() for a in adj)
     # sizes stop by n - 2, as a spanning tree's internal vertices are a
     # connected dominating set
-    for size in itertools.count(_fewest_internal(g.n, spread)):
+    for size in itertools.count(_fewest_internal(g.n, caps)):
         for root in range(g.n - size + 1):  # smallest member: its hits precede larger roots'
             best = 0
-            for members in _connected_sets(adj, spread, 1 << root, size, (1 << root) - 1):
+            for members in _connected_sets(adj, caps, 1 << root, size, (1 << root) - 1):
                 diff = members ^ best
                 if not best or members & diff & -diff:
                     best = members  # lexicographically first so far
@@ -113,21 +115,22 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
                 return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
 
 
-def _spread(adj) -> int:
-    """Most vertices that a vertex joining a connected set can newly
-    dominate: it is dominated already and has a neighbour in the set."""
-    return max(1, max(a.bit_count() for a in adj) - 1)
+def _caps(degrees) -> list[int]:
+    """``caps[j]``: most vertices that j vertices joining a connected set
+    can newly dominate, the sum of the j largest of max(degree - 1, 0). A
+    joining vertex is dominated already and has a neighbour in the set."""
+    return list(itertools.accumulate(sorted((max(d - 1, 0) for d in degrees), reverse=True), initial=0))
 
 
-def _fewest_internal(n: int, spread: int) -> int:
-    """Fewest internal vertices of a spanning tree on n >= 2 vertices when no
-    vertex has more than spread + 1 neighbours: a tree with i internal
-    vertices has at most i * spread + 2 vertices. So no spanning tree has
-    more than n minus this many leaves."""
-    return -(-(n - 2) // spread)
+def _fewest_internal(n: int, caps: list[int]) -> int:
+    """Fewest internal vertices of a spanning tree on n >= 2 vertices, or
+    members of a connected dominating set: i of them dominate at most
+    2 + caps[i] vertices (see _caps). So no spanning tree has more than n
+    minus this many leaves."""
+    return bisect_left(caps, n - 2)
 
 
-def _connected_sets(adj, spread: int, root: int, size: int, below: int = 0, must: int = 0):
+def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, must: int = 0):
     """Yield, as masks, the connected sets of ``size`` positions that contain
     the ``root`` bit, no bit of ``below`` and every bit of ``must``, and
     dominate every position; ``adj[i]`` is the neighbour mask of position i.
@@ -135,8 +138,8 @@ def _connected_sets(adj, spread: int, root: int, size: int, below: int = 0, must
     Depth first, each set once: the lowest undecided neighbour is added, and
     the set without it is stacked, never to take it back. A set is dropped
     when more positions are undominated than its members still to come can
-    dominate, ``spread`` each (see _spread), and a ``must`` bit is never
-    left out."""
+    dominate, ``caps[left]`` (see _caps), and a ``must`` bit is never left
+    out."""
     full = (1 << len(adj)) - 1
     near = adj[root.bit_length() - 1]
     # (set, dominated, undecided neighbours, members left), <= n deep
@@ -150,7 +153,7 @@ def _connected_sets(adj, spread: int, root: int, size: int, below: int = 0, must
                 stack.append((members, dom, ext, left))
             near = adj[bit.bit_length() - 1]
             members, dom, ext, left = members | bit, dom | near, ext | near & ~(dom | below), left - 1
-            if (full & ~dom).bit_count() > left * spread:
+            if (full & ~dom).bit_count() > caps[left]:
                 break
         else:
             if not left and dom == full and not must & ~members:
@@ -395,8 +398,9 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
 
     if n3 == 0:
         return Verdict("NO", None, stats)  # path or cycle, k2 > 2
-    top_degree = max(reduced.degree(v) for v in reduced.vertices)
-    if k2 > reduced.n - _fewest_internal(reduced.n, top_degree - 1):
+    caps = _caps(reduced.degree(v) for v in reduced.vertices)
+    stats.leaf_ceiling = reduced.n - _fewest_internal(reduced.n, caps)
+    if k2 > stats.leaf_ceiling:
         return Verdict("NO", None, stats)  # the degree ceiling; parallel edges only raise it
 
     s = suppress(reduced)
@@ -464,13 +468,13 @@ def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must, gain_cap) ->
     holding ``must``: one of at most ``top_kept`` vertices exists iff one of
     exactly that many does, so only the top size is enumerated."""
     n = len(s.adj)
-    spread = _spread(s.adj)
-    smallest = max(1, must.bit_count(), _fewest_internal(n, spread))
+    caps = _caps(a.bit_count() for a in s.adj)
+    smallest = max(1, must.bit_count(), _fewest_internal(n, caps))
     sizes = range(smallest, min(top_kept, n) + 1)
     for size in sizes if gain_cap else sizes[-1:]:
         roots = (must & -must,) if must else (1 << p for p in range(n - size + 1))
         for root in roots:
-            for kept in _connected_sets(s.adj, spread, root, size, 0 if must else root - 1, must):
+            for kept in _connected_sets(s.adj, caps, root, size, 0 if must else root - 1, must):
                 forced = s.full & ~kept
                 value = achievable_leaves(s, forced, host_leaf_count)
                 stats.subsets_enumerated += 1

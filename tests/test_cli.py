@@ -52,9 +52,11 @@ def test_solve_json_stats_witness(capsys, q3_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["answer"] == "YES"
-    assert {"subsets_enumerated", "subsets_pruned", "search_side", "probe_leaves"} <= doc["stats"].keys()
+    keys = {"subsets_enumerated", "subsets_pruned", "search_side", "probe_leaves", "leaf_ceiling"}
+    assert keys <= doc["stats"].keys()
     # the forced side builds the expansion tree first: 4 leaves, so nothing is enumerated
     assert doc["stats"]["search_side"] == "forced" and doc["stats"]["probe_leaves"] == 4
+    assert doc["stats"]["leaf_ceiling"] == 5  # 8 vertices of degree 3: at least 3 internal
     assert doc["stats"]["subsets_enumerated"] == 0
     tree = [tuple(e) for e in doc["witness"]]
     assert verify_spanning_tree(q3(), tree) and tree_leaf_count(tree) >= 4

@@ -514,9 +514,9 @@ def test_yes_above_the_probe_enumerates_the_top_size_only(k, monkeypatch):
     sizes = set()
     enumerate_sets = solver._connected_sets
 
-    def recorded(adj, spread, root, size, *rest):
+    def recorded(adj, caps, root, size, *rest):
         sizes.add(size)
-        return enumerate_sets(adj, spread, root, size, *rest)
+        return enumerate_sets(adj, caps, root, size, *rest)
 
     monkeypatch.setattr(solver, "_connected_sets", recorded)
     g = random_invariant_graph(40, 3, 0)
@@ -540,8 +540,47 @@ def test_degree_ceiling_refutes_before_the_search(rng):
     assert not v.is_yes and v.stats.search_side is None and v.stats.subsets_enumerated == 0
     for _ in range(200):
         g = random_connected(rng.randint(2, 9), rng.randint(0, 6), rng)
-        spread = max(1, max(g.degree(v) for v in g.vertices) - 1)
-        assert brute_max_leaves(g) <= g.n - solver._fewest_internal(g.n, spread), sorted(g.edges())
+        degrees = [g.degree(v) for v in g.vertices]
+        fewest = solver._fewest_internal(g.n, solver._caps(degrees))
+        assert brute_max_leaves(g) <= g.n - fewest, sorted(g.edges())
+        # never above the max-degree ceiling, n - ceil((n - 2)/(max degree - 1))
+        assert fewest >= -(-(g.n - 2) // max(1, max(degrees) - 1))
+    # the max-degree ceiling is 8 here and the optimum 7: refuted before the search
+    v = fpt_decide(random_invariant_graph(10, 3, 3), 8)
+    assert not v.is_yes and v.stats.search_side is None and v.stats.subsets_enumerated == 0
+    assert v.stats.leaf_ceiling == 7
+
+
+def test_connected_sets_cap_drops_no_hit(rng):
+    """The sorted-degree caps yield the same sets in the same order as the
+    max-degree rule, j * max(1, max degree - 1), for every root and size,
+    from the lowest free bit as the oracle grows them and from the lowest
+    ``must`` bit as the kept side does."""
+    hosts = [random_connected(n, rng.randint(0, 5), rng) for n in range(3, 15) for _ in range(4)]
+    hosts += [random_invariant_graph(n, t, seed) for n in (8, 11, 14) for t in (2, 3) for seed in range(2)]
+    cases = []
+    for g in hosts:
+        adj = [0] * g.n
+        for u, w in g.simple_edges():
+            adj[u - 1] |= 1 << w - 1
+            adj[w - 1] |= 1 << u - 1
+        cases.append((adj, 0))
+    multi = 0
+    for _ in range(30):
+        g = random_connected(rng.randint(5, 14), rng.randint(1, 3), rng)
+        if vertices_ge3(g):
+            s = suppress(g)
+            multi += bool(s.loops) or len({e[1] for e in s.edges}) < len(s.edges)
+            cases.append((list(s.adj), s.full & ~s.mask(vertices_ge3(g)) | s.loops))
+    assert multi >= 5  # hosts whose suppressed graph carries loops or parallel edges
+    for adj, must in cases:
+        n = len(adj)
+        old = [j * max(1, max(a.bit_count() for a in adj) - 1) for j in range(n + 1)]
+        caps = solver._caps(a.bit_count() for a in adj)
+        for size in range(1, n + 1):
+            starts = [(1 << r, size, (1 << r) - 1) for r in range(n)] + [(must & -must, size, 0, must)] * bool(must)
+            for args in starts:
+                assert list(solver._connected_sets(adj, caps, *args)) == list(solver._connected_sets(adj, old, *args))
 
 
 def test_random18_no_threshold_takes_kept_side():
