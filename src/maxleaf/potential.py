@@ -9,15 +9,17 @@ achieved leaf count against the target ratio themselves.
 
 Every move changes the tree in place. A candidate pull is scored by making
 it, reading the potential and undoing it, which costs the vertices it
-touches: the tree carries the counts the potential reads.
+touches: the tree carries the counts the potential reads. Its heaps and hub
+count spare a move the boundary scan unless a pull may apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
-from .graphs import Graph, GraphError, edge_key, is_connected, is_goober, n_ge3
+from .graphs import Graph, GraphError, edge_key, is_connected, n_ge3
 
 
 class GreedyTree:
@@ -28,9 +30,13 @@ class GreedyTree:
     keeps what the potential reads: tree degrees, for each tree vertex the
     number of its distinct host neighbours outside the tree, the leaves, the
     dead leaves (leaves with no host neighbour outside) and the number of
-    host non-goobers."""
+    host non-goobers. For the moves it keeps ``hubs_out``, the number of host
+    vertices of degree 4 or more outside, and two min-heaps, read past stale
+    entries: ``ready`` holds every vertex that try_augment may expand
+    unscored, ``edge`` every boundary vertex. A vertex comes to belong only
+    when it is added or a take-back frees one of its host neighbours."""
 
-    __slots__ = ("host", "vertices", "deg", "outside", "leaves", "dead_leaves", "nongoob")
+    __slots__ = ("host", "vertices", "deg", "outside", "leaves", "dead_leaves", "nongoob", "hubs_out", "ready", "edge")
 
     def __init__(self, host: Graph):
         self.host = host
@@ -40,6 +46,8 @@ class GreedyTree:
         self.leaves: set[int] = set()
         self.dead_leaves: set[int] = set()
         self.nongoob = 0
+        self.hubs_out = sum(1 for d in host._deg.values() if d >= 4)
+        self.ready, self.edge = [], []
 
     def is_spanning(self) -> bool:
         return len(self.vertices) == self.host.n
@@ -64,7 +72,8 @@ class GreedyTree:
         self.deg[v] = 0 if parent is None else 1
         if parent is not None:
             self.deg[parent] += 1
-        self.nongoob += not is_goober(self.host, v)
+        self.nongoob += (d := self.host.degree(v)) >= 3
+        self.hubs_out -= d >= 4
         outside = 0
         for w in self.host._adj[v]:
             if w not in self.vertices:
@@ -74,6 +83,10 @@ class GreedyTree:
                 self._settle(w)
         self.outside[v] = outside
         self._settle(v)
+        if outside:
+            heappush(self.edge, v)
+            if outside >= 2 or parent is None:
+                heappush(self.ready, v)
 
     def undo(self, size: int) -> None:
         """Take back the latest additions until ``size`` vertices remain."""
@@ -84,11 +97,14 @@ class GreedyTree:
             self.dead_leaves.discard(v)
             if parent is not None:
                 self.deg[parent] -= 1
-            self.nongoob -= not is_goober(self.host, v)
+            self.nongoob -= (d := self.host.degree(v)) >= 3
+            self.hubs_out += d >= 4
             for w in self.host._adj[v]:
                 if w in self.vertices:
                     self.outside[w] += 1
                     self._settle(w)
+                    heappush(self.ready, w)
+                    heappush(self.edge, w)
 
 
 @dataclass(frozen=True)
@@ -128,27 +144,32 @@ def expand(t: GreedyTree, v: int) -> None:
 
 
 def try_augment(t: GreedyTree) -> GreedyTree | None:
-    """One conservative extension: expand a boundary vertex, or expand a
-    short run out to a nearby high-degree vertex. Every move adds a vertex
-    from outside the tree and does not decrease the potential (expansions
-    never do; a pull that does is undone); the tree is returned."""
+    """One conservative extension: expand the lowest vertex ``ready`` offers,
+    or, while ``hubs_out`` counts one, a short run out to a nearby vertex of
+    degree 4 or more. Every move adds an outside vertex and does not lower
+    the potential (a pull that does is undone); the tree is returned."""
     if not t.vertices or t.is_spanning():
         return None
-    boundary = sorted(t.boundary())
     # expanding a boundary vertex that is no leaf, or a leaf with two or more
     # outside neighbours, never lowers the potential: each new leaf adds 2.5
     # and costs at most 1 as a non-goober, and a leaf expanded costs 2.5
-    for w in boundary:
-        if w not in t.leaves or t.outside[w] >= 2:
+    while t.ready:
+        w = t.ready[0]
+        if t.outside.get(w) and (w not in t.leaves or t.outside[w] >= 2):
             expand(t, w)
             return t
+        heappop(t.ready)
+    if not t.hubs_out:
+        return None
     g = t.host
-    base = leaf_potential(t).twice_value
+    base = None
     size = len(t.vertices)
 
     def kept(*path: int) -> bool:
-        """Expand each vertex of ``path`` in turn; keep the move made when it
-        does not decrease the potential, else undo it."""
+        """Expand each vertex of ``path``; undo it all if the potential drops."""
+        nonlocal base
+        if base is None:
+            base = leaf_potential(t).twice_value
         for y in path:
             expand(t, y)
         if leaf_potential(t).twice_value >= base:
@@ -157,7 +178,7 @@ def try_augment(t: GreedyTree) -> GreedyTree | None:
         return False
 
     # pull in a high-degree vertex at distance one or two
-    for w in boundary:
+    for w in sorted(t.boundary()):
         for u in sorted(g.neighbors(w).difference(t.vertices)):
             if g.degree(u) >= 4 and kept(w, u):
                 return t
@@ -170,34 +191,31 @@ def try_augment(t: GreedyTree) -> GreedyTree | None:
 def _greedy_from(g: Graph, start: int) -> GreedyTree:
     """One tree grown from the closed neighbourhood of ``start`` until it
     spans the connected host: a conservative augmentation while one
-    applies, otherwise an expansion of the lowest boundary vertex (the host
-    is connected, so a tree that does not span has a boundary). try_augment
-    expands every other boundary vertex, so this runs only when every
-    boundary vertex is a leaf with one outside neighbour, where each
-    expansion trades one leaf for one."""
+    applies, otherwise an expansion of the lowest boundary vertex, the top
+    of ``edge`` (the host is connected, so a tree that does not span has a
+    boundary). try_augment expands every other boundary vertex, so this
+    runs only when every boundary vertex is a leaf with one outside
+    neighbour, where each expansion trades one leaf for one."""
     t = GreedyTree(g)
     expand(t, start)
     while not t.is_spanning():
         if try_augment(t) is None:
-            expand(t, min(t.boundary()))
+            while not t.outside.get(t.edge[0]):
+                heappop(t.edge)
+            expand(t, t.edge[0])
     return t
-
-
-def _best_from_every_start(g: Graph) -> GreedyTree:
-    """The potential-greedy tree with the most leaves over all start
-    vertices of a connected graph, the first such in vertex order."""
-    return max((_greedy_from(g, start) for start in sorted(g.vertices)), key=lambda t: len(t.leaves))
 
 
 def greedy_spanning_tree(g: Graph) -> tuple[set[tuple[int, int]], PotentialReport]:
     """Best-effort many-leaf spanning tree of a connected graph: the
     potential-greedy loop runs on g itself from every start vertex and the
-    tree with the most leaves wins. Returns its edges and its potential."""
+    first tree in start order with the most leaves wins. Returns its edges
+    and its potential."""
     if g.n < 2:
         raise GraphError("need at least two vertices")
     if not is_connected(g):
         raise GraphError("greedy builder requires a connected graph")
-    best = _best_from_every_start(g)
+    best = max((_greedy_from(g, start) for start in sorted(g.vertices)), key=lambda t: len(t.leaves))
     return {edge_key(p, v) for v, p in best.vertices.items() if p is not None}, leaf_potential(best)
 
 

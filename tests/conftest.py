@@ -764,8 +764,11 @@ def tree_state(t) -> tuple:
 
 def assert_tree_matches_reference(t) -> None:
     """A ``GreedyTree`` is one tree of host edges (or empty), and its
-    degrees, outside counts, leaves, dead leaves, non-goobers and potential
-    equal a count from scratch."""
+    degrees, outside counts, leaves, dead leaves, non-goobers, potential and
+    outside hubs equal a count from scratch. Its heaps may hold stale
+    entries but miss none: ``ready`` holds every boundary vertex that is no
+    leaf or has two outside neighbours or more, ``edge`` every boundary
+    vertex."""
     from maxleaf.potential import leaf_potential
 
     g, vertices, edges = t.host, set(t.vertices), tree_edges(t)
@@ -773,10 +776,62 @@ def assert_tree_matches_reference(t) -> None:
     assert len(edges) == max(len(vertices) - 1, 0)
     assert len(naive_components(Graph(vertices, edges))) == min(len(vertices), 1)
     assert t.deg == {v: sum(v in e for e in edges) for v in vertices}
-    assert t.outside == {v: len(g.neighbors(v) - vertices) for v in vertices}
+    outside = {v: len(g.neighbors(v) - vertices) for v in vertices}
+    assert t.outside == outside
     leaves, dead, nongoob, twice = reference_potential(g, vertices, edges)
     assert (t.leaves, t.dead_leaves, t.nongoob) == (leaves, dead, nongoob)
     assert leaf_potential(t).twice_value == twice
+    assert t.hubs_out == sum(1 for v in g.vertices - vertices if g.degree(v) >= 4)
+    boundary = {v for v, k in outside.items() if k}
+    assert boundary <= set(t.edge)
+    assert {v for v in boundary if v not in leaves or outside[v] >= 2} <= set(t.ready)
+
+
+def reference_greedy(g: Graph) -> tuple:
+    """The potential greedy by whole-boundary scans: each augmentation sorts
+    the boundary, expands the first vertex that is no leaf or has two
+    outside neighbours or more, else reads the potential and tries the pulls
+    toward a vertex of degree 4 or more in boundary order; when none is
+    made, the lowest boundary vertex is expanded. Every start vertex is
+    tried and the first tree with the most leaves wins. Returns its edges
+    and ``PotentialReport``."""
+    from maxleaf.potential import GreedyTree, expand, leaf_potential
+
+    def augment(t) -> bool:
+        boundary = sorted(t.boundary())
+        for w in boundary:
+            if w not in t.leaves or t.outside[w] >= 2:
+                expand(t, w)
+                return True
+        base, size = leaf_potential(t).twice_value, len(t.vertices)
+
+        def kept(*path: int) -> bool:
+            for y in path:
+                expand(t, y)
+            if leaf_potential(t).twice_value >= base:
+                return True
+            t.undo(size)
+            return False
+
+        for w in boundary:
+            for u in sorted(g.neighbors(w) - t.vertices.keys()):
+                if g.degree(u) >= 4 and kept(w, u):
+                    return True
+                for x in sorted(g.neighbors(u) - t.vertices.keys() - {w}):
+                    if g.degree(x) >= 4 and kept(w, u, x):
+                        return True
+        return False
+
+    def grow(start: int):
+        t = GreedyTree(g)
+        expand(t, start)
+        while not t.is_spanning():
+            if not augment(t):
+                expand(t, min(t.boundary()))
+        return t
+
+    best = max((grow(start) for start in sorted(g.vertices)), key=lambda t: len(t.leaves))
+    return tree_edges(best), leaf_potential(best)
 
 
 @pytest.fixture

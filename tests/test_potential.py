@@ -23,6 +23,7 @@ from conftest import (
     assert_tree_matches_reference,
     random_connected,
     random_loopless_multigraph,
+    reference_greedy,
     reference_potential,
     tree_edges,
     tree_state,
@@ -185,6 +186,16 @@ def test_incremental_subgraphs_match_scratch(rng, checked_growth):
     assert checked_growth["add"] > 1000 and checked_growth["undo"] > 500
 
 
+def test_undo_requeues_the_vertices_it_reopens(rng):
+    """The moves pop heap entries that have gone stale; a take-back that
+    makes such a vertex a boundary vertex again queues it again."""
+    for _ in range(60):
+        g = random_connected(rng.randint(3, 12), rng.randint(0, 8), rng)
+        t = potential._greedy_from(g, rng.choice(sorted(g.vertices)))
+        t.undo(rng.randint(1, g.n - 1))
+        assert_tree_matches_reference(t)
+
+
 def test_scoring_a_candidate_leaves_the_tree_as_it_was(rng):
     """Expanding a boundary vertex and taking it back restores every field
     of the tree, orders included; so does an augmentation that finds no
@@ -229,6 +240,15 @@ def test_two_outside_neighbors_fires():
     expand(t, 1)
     old = set(t.vertices)
     assert try_augment(t) is t and set(t.vertices) > old
+
+
+def test_one_vertex_tree_with_one_outside_neighbor_expands():
+    """A tree of one vertex has no leaf, so its single outside neighbour is
+    hung off it without scoring, as a boundary scan would."""
+    t = GreedyTree(path(3))
+    t.add(1)
+    assert try_augment(t) is t and t.vertices == {1: None, 2: 1}
+    assert_tree_matches_reference(t)
 
 
 def test_augment_none_when_nothing_applies():
@@ -307,6 +327,21 @@ def test_incremental_growth_keeps_the_same_trees(rng, monkeypatch):
     grown = [greedy_spanning_tree(g) for g in graphs]
     monkeypatch.setattr(potential, "leaf_potential", scratch_potential)
     assert [greedy_spanning_tree(g) for g in graphs] == grown
+
+
+def test_greedy_matches_the_boundary_scan(rng):
+    """The queued moves make the trees the whole-boundary scan makes, with
+    the same potential: on sparse graphs with degree-1 vertices, on
+    multigraphs whose parallel edges make vertices of degree 4, and on the
+    named and random invariant families."""
+    graphs = [random_connected(n, rng.randint(0, n), rng) for n in range(2, 31) for _ in range(2)]
+    graphs += [random_loopless_multigraph(n, rng.randint(0, 2 * n), rng) for n in range(2, 16) for _ in range(2)]
+    graphs += [necklace_ring(r) for r in range(2, 9)] + [flowerbed(i) for i in range(2, 5)]
+    graphs += [random_invariant_graph(n, t, s) for n in (12, 24, 40, 60) for t in (2, 3) for s in (0, 1)]
+    assert any(g.min_degree() == 1 for g in graphs)
+    assert any(not g.is_simple() and max(map(g.degree, g.vertices)) >= 4 for g in graphs)
+    for g in graphs:
+        assert greedy_spanning_tree(g) == reference_greedy(g)
 
 
 def test_greedy_output_is_pinned():
