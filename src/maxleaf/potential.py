@@ -56,23 +56,19 @@ class GreedyTree:
         """Tree vertices with at least one host neighbour outside."""
         return [v for v, k in self.outside.items() if k]
 
-    def _settle(self, v: int) -> None:
-        """Leaf and dead-leaf membership of tree vertex v from its counts."""
-        self.leaves.discard(v)
-        self.dead_leaves.discard(v)
-        if self.deg[v] == 1:
-            self.leaves.add(v)
-            if not self.outside[v]:
-                self.dead_leaves.add(v)
-
     def add(self, v: int, parent: int | None = None) -> None:
         """Add v, a host vertex outside the tree, hanging off the tree
         vertex ``parent`` by a host edge; only the first vertex has none."""
         self.vertices[v] = parent
         self.deg[v] = 0 if parent is None else 1
         if parent is not None:
+            self.leaves.add(v)
             self.deg[parent] += 1
-        self.nongoob += (d := self.host.degree(v)) >= 3
+            # degree 1 reached (by the first vertex) or left; a parent had v
+            # outside, so it was no dead leaf
+            if self.deg[parent] <= 2:
+                self.leaves ^= {parent}
+        self.nongoob += (d := self.host._deg.get(v, 0)) >= 3
         self.hubs_out -= d >= 4
         outside = 0
         for w in self.host._adj[v]:
@@ -80,9 +76,11 @@ class GreedyTree:
                 outside += 1
             elif w != v:
                 self.outside[w] -= 1
-                self._settle(w)
+                if not self.outside[w] and self.deg[w] == 1:
+                    self.dead_leaves.add(w)
         self.outside[v] = outside
-        self._settle(v)
+        if not outside and parent is not None:
+            self.dead_leaves.add(v)
         if outside:
             heappush(self.edge, v)
             if outside >= 2 or parent is None:
@@ -97,12 +95,15 @@ class GreedyTree:
             self.dead_leaves.discard(v)
             if parent is not None:
                 self.deg[parent] -= 1
-            self.nongoob -= (d := self.host.degree(v)) >= 3
+                if self.deg[parent] <= 1:  # degree 1 reached, or left for 0 by the first vertex
+                    self.leaves ^= {parent}
+            self.nongoob -= (d := self.host._deg.get(v, 0)) >= 3
             self.hubs_out += d >= 4
             for w in self.host._adj[v]:
                 if w in self.vertices:
                     self.outside[w] += 1
-                    self._settle(w)
+                    if self.outside[w] == 1:
+                        self.dead_leaves.discard(w)
                     heappush(self.ready, w)
                     heappush(self.edge, w)
 

@@ -82,7 +82,9 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
     n minus the size of a smallest connected dominating set, the
     lexicographically first one, found by enumerating connected vertex sets
     depth-first, by size upward from a degree lower bound and by smallest
-    member; intended for desk-scale instances (default cap 30 vertices).
+    member. A member's search keeps the set in hand and stops once no branch
+    left can beat it. Intended for desk-scale instances (default cap 30
+    vertices).
     """
     if not is_connected(g):
         raise GraphError("exact solver requires a connected graph")
@@ -107,10 +109,8 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
     for size in itertools.count(_fewest_internal(g.n, caps)):
         for root in range(g.n - size + 1):  # smallest member: its hits precede larger roots'
             best = 0
-            for members in _connected_sets(adj, caps, 1 << root, size, (1 << root) - 1):
-                diff = members ^ best
-                if not best or members & diff & -diff:
-                    best = members  # lexicographically first so far
+            for best in _connected_sets(adj, caps, 1 << root, size, (1 << root) - 1, lex_first=True):
+                pass  # each set yielded beats the one before
             if best:
                 return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
 
@@ -130,7 +130,7 @@ def _fewest_internal(n: int, caps: list[int]) -> int:
     return bisect_left(caps, n - 2)
 
 
-def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, must: int = 0):
+def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, must: int = 0, *, lex_first=False):
     """Yield, as masks, the connected sets of ``size`` positions that contain
     the ``root`` bit, no bit of ``below`` and every bit of ``must``, and
     dominate every position; ``adj[i]`` is the neighbour mask of position i.
@@ -139,13 +139,23 @@ def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, 
     the set without it is stacked, never to take it back. A set is dropped
     when more positions are undominated than its members still to come can
     dominate, ``caps[left]`` (see _caps), and a ``must`` bit is never left
-    out."""
+    out. With ``lex_first`` a set is yielded only if it comes before the last
+    one yielded (holds the lowest bit where they differ), so the last is the
+    lexicographically first; after a yield, a branch is dropped unless a bit
+    it may still take, outside that set, lies below the set's lowest bit the
+    branch can no longer take."""
     full = (1 << len(adj)) - 1
     near = adj[root.bit_length() - 1]
+    best = 0  # the last set yielded, under lex_first
     # (set, dominated, undecided neighbours, members left), <= n deep
     stack = [(root, near | root, near & ~below, size - 1)]
     while stack:
         members, dom, ext, left = stack.pop()
+        if best:  # ext takes only undominated bits: the other dominated non-members never join
+            out = below | dom & ~(members | ext)
+            lost = best & out
+            if not full & ~(out | best) & (lost & -lost) - 1:  # -1, all bits, when none is lost
+                continue
         while ext and left:
             bit = ext & -ext
             ext ^= bit
@@ -157,7 +167,9 @@ def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, 
                 break
         else:
             if not left and dom == full and not must & ~members:
-                yield members
+                if members & (diff := members ^ best) & -diff:  # always when best is 0
+                    best = members if lex_first else 0
+                    yield members
 
 
 def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int]]:

@@ -137,6 +137,15 @@ def test_expand_non_leaf_boundary_is_free():
     assert p2.twice_value >= p.twice_value
 
 
+def test_expand_isolated_vertex(checked_growth):
+    # a vertex with no edges has no degree entry in its graph
+    t = GreedyTree(Graph(vertices=[1, 2]))
+    expand(t, 1)
+    assert list(t.vertices) == [1] and not t.leaves and t.boundary() == []
+    t.undo(0)
+    assert checked_growth == {"add": 1, "undo": 1}
+
+
 def test_expand_inside_vertex_is_identity():
     g = q3()
     t = GreedyTree(g)

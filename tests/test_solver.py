@@ -30,6 +30,7 @@ from conftest import (
     random_connected,
     random_loopless_multigraph,
     random_multigraph,
+    reference_exact,
     reference_forced_feasible,
     spanning_trees,
     tree_leaves,
@@ -154,6 +155,66 @@ def test_exact_long_path_above_default_cap():
     g = Graph(edges=[(v, v + 1) for v in range(1, 1500)])
     best, tree = exact_max_leaves(g, cap=2000)
     assert best == 2 and verify_spanning_tree(g, tree)
+
+
+def test_exact_matches_the_unpruned_search(rng):
+    """The oracle drops the branches that cannot beat the set in hand, and
+    still gives the value and tree of the search that compares every set,
+    on graphs up to n = 28 where the combinations search is too slow."""
+    graphs = [necklace_ring(r) for r in range(4, 7)] + [necklace(6), necklace(7)]
+    graphs += [random_invariant_graph(n, t, n % 3) for n in range(13, 27) for t in (2, 3)]
+    trees = [random_connected(rng.randint(10, 24), rng.randint(0, 8), rng) for _ in range(40)]
+    graphs += [g for g in trees if g.min_degree() == 1][:12]
+    graphs.append(random_loopless_multigraph(16, 30, rng))
+    assert not graphs[-1].is_simple()
+    for g in graphs:
+        assert exact_max_leaves(g) == reference_exact(g), sorted(g.edges())
+
+
+class _CountedReads(list):
+    """Neighbour masks that count their reads: one per member a search adds,
+    and one for the root."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _position_masks(g: Graph) -> _CountedReads:
+    """Neighbour mask per position of a graph on 1..n, vertex v at v - 1."""
+    adj = [0] * g.n
+    for u, w in g.simple_edges():
+        adj[u - 1] |= 1 << w - 1
+        adj[w - 1] |= 1 << u - 1
+    return _CountedReads(adj)
+
+
+def test_lex_first_yields_each_set_before_the_last():
+    def lex_key(m: int) -> list[bool]:  # the set holding the lowest differing bit sorts first
+        return [not m >> p & 1 for p in range(16)]
+
+    # the oracle's hit in random_invariant_graph(16, 3, 1) has 5 members,
+    # the lowest at position 0, which has six such sets: the first found is
+    # not the answer, and three are yielded in turn
+    adj = _position_masks(random_invariant_graph(16, 3, 1))
+    caps = solver._caps(a.bit_count() for a in adj)
+    every = list(solver._connected_sets(adj, caps, 1, 5))
+    yielded = list(solver._connected_sets(adj, caps, 1, 5, lex_first=True))
+    assert len(every) == 6 and len(yielded) == 3 and set(yielded) <= set(every)
+    assert yielded[0] == every[0] and yielded[-1] == min(every, key=lex_key) != every[0]
+    assert all(lex_key(b) < lex_key(a) for a, b in zip(yielded, yielded[1:]))
+
+
+def test_lex_first_drops_the_branches_that_cannot_win():
+    # random_invariant_graph(17, 2, 1) has its hit at 8 members from position
+    # 2: 313 reads without the prune, 200 when the positions below the root
+    # are not counted among those the branch can no longer take
+    adj = _position_masks(random_invariant_graph(17, 2, 1))
+    caps = solver._caps(a.bit_count() for a in adj)
+    assert len(list(solver._connected_sets(adj, caps, 1 << 2, 8, 0b11, lex_first=True))) == 1
+    assert adj.reads <= 51
 
 
 def test_verify_spanning_tree_rejects_non_trees():
