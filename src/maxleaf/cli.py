@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 
 from . import FORMAT_VERSION, __version__
-from .generators import FamilySpec, GeneratorError, family_names, generate
+from .generators import RANDOM_MAX_N, FamilySpec, GeneratorError, family_names, generate
 from .graphs import (
     Graph,
     GraphError,
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("generate", help="build a named family")
     gp.add_argument("--family", choices=family_names(), required=True)
     gp.add_argument("--param", type=int, default=None, help="k for necklaces/rings, i for flowerbeds")
-    gp.add_argument("--n", type=int, default=None, help="size for random graphs")
+    gp.add_argument("--n", type=int, default=None, help=f"size for random graphs, 4..{RANDOM_MAX_N}")
     gp.add_argument("--min-degree", type=int, default=None, help="for random graphs (default 3)")
     gp.add_argument("--seed", type=int, default=None, help="for random graphs (default 0)")
     gp.add_argument("--dot", action="store_true", help="emit DOT instead of the text format")

@@ -14,12 +14,13 @@ The forced side first builds a Kleitman–West leaf-expansion tree in O(m)
 are the forced set and nothing is enumerated. Otherwise the forced side goes
 level by level, visiting a set only when all its one-smaller subsets are
 feasible. The kept side enumerates the complements: connected dominating
-sets small enough for their forced set to reach k, with the same
-depth-first enumerator as the oracle. Each visited set is decided, valued
-and built by one Kruskal pass over the suppressed edges in cost order
-(``_forced_tree``), which finds a minimum-cost spanning tree of the kept
-side or shows that none keeps the set forced. The counting shortcuts' witness
-is the expansion tree too, when it has k leaves.
+sets small enough for their forced set to reach k, with the oracle's
+enumerator, which grows every set of one size from its own root. Each
+visited set is decided, valued and built by one Kruskal pass over the
+suppressed edges in cost order (``_forced_tree``), which finds a
+minimum-cost spanning tree of the kept side or shows that none keeps the set
+forced. The counting shortcuts' witness is the expansion tree too, when it
+has k leaves, and the search's tree otherwise.
 """
 
 from __future__ import annotations
@@ -81,10 +82,9 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
 
     n minus the size of a smallest connected dominating set, the
     lexicographically first one, found by enumerating connected vertex sets
-    depth-first, by size upward from a degree lower bound and by smallest
-    member. A member's search keeps the set in hand and stops once no branch
-    left can beat it. Intended for desk-scale instances (default cap 30
-    vertices).
+    depth-first, by size upward from a degree lower bound; the first size
+    with a set is the answer (see _connected_sets). Intended for desk-scale
+    instances (default cap 30 vertices).
     """
     if not is_connected(g):
         raise GraphError("exact solver requires a connected graph")
@@ -107,12 +107,8 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
     # sizes stop by n - 2, as a spanning tree's internal vertices are a
     # connected dominating set
     for size in itertools.count(_fewest_internal(g.n, caps)):
-        for root in range(g.n - size + 1):  # smallest member: its hits precede larger roots'
-            best = 0
-            for best in _connected_sets(adj, caps, 1 << root, size, (1 << root) - 1, lex_first=True):
-                pass  # each set yielded beats the one before
-            if best:
-                return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
+        if best := next(_connected_sets(adj, caps, size, lex_first=True), 0):
+            return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
 
 
 def _caps(degrees) -> list[int]:
@@ -130,27 +126,32 @@ def _fewest_internal(n: int, caps: list[int]) -> int:
     return bisect_left(caps, n - 2)
 
 
-def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, must: int = 0, *, lex_first=False):
+def _connected_sets(adj, caps: list[int], size: int, must: int = 0, *, lex_first=False):
     """Yield, as masks, the connected sets of ``size`` positions that contain
-    the ``root`` bit, no bit of ``below`` and every bit of ``must``, and
-    dominate every position; ``adj[i]`` is the neighbour mask of position i.
+    every bit of ``must`` and dominate every position; ``adj[i]`` is the
+    neighbour mask of position i. Each set is grown from the lowest
+    ``must`` bit, or, with no ``must``, from its smallest member.
 
     Depth first, each set once: the lowest undecided neighbour is added, and
-    the set without it is stacked, never to take it back. A set is dropped
-    when more positions are undominated than its members still to come can
-    dominate, ``caps[left]`` (see _caps), and a ``must`` bit is never left
-    out. With ``lex_first`` a set is yielded only if it comes before the last
-    one yielded (holds the lowest bit where they differ), so the last is the
-    lexicographically first; after a yield, a branch is dropped unless a bit
-    it may still take, outside that set, lies below the set's lowest bit the
-    branch can no longer take."""
+    the set without it is stacked, never to take it back. The roots are
+    stacked first, the lowest on top, so the sets come out by root. A set is
+    dropped when more positions are undominated than its members still to
+    come can dominate, ``caps[left]`` (see _caps), and a ``must`` bit is
+    never left out. With ``lex_first`` only the lexicographically first set
+    is yielded, the one holding the lowest bit where two differ; once a set
+    is in hand, a branch is dropped unless a bit it may still take, outside
+    that set, lies below the set's lowest bit the branch can no longer
+    take."""
     full = (1 << len(adj)) - 1
-    near = adj[root.bit_length() - 1]
-    best = 0  # the last set yielded, under lex_first
-    # (set, dominated, undecided neighbours, members left), <= n deep
-    stack = [(root, near | root, near & ~below, size - 1)]
+    best = 0  # the set in hand, under lex_first
+    # (set, dominated, undecided neighbours, members left, bits below the
+    # root), at most 2n deep
+    stack = []
+    for p in [(must & -must).bit_length() - 1] if must else range(len(adj) - size, -1, -1):
+        near, below = adj[p], 0 if must else (1 << p) - 1
+        stack.append((1 << p, near | 1 << p, near & ~below, size - 1, below))
     while stack:
-        members, dom, ext, left = stack.pop()
+        members, dom, ext, left, below = stack.pop()
         if best:  # ext takes only undominated bits: the other dominated non-members never join
             out = below | dom & ~(members | ext)
             lost = best & out
@@ -160,16 +161,19 @@ def _connected_sets(adj, caps: list[int], root: int, size: int, below: int = 0, 
             bit = ext & -ext
             ext ^= bit
             if not bit & must:
-                stack.append((members, dom, ext, left))
+                stack.append((members, dom, ext, left, below))
             near = adj[bit.bit_length() - 1]
             members, dom, ext, left = members | bit, dom | near, ext | near & ~(dom | below), left - 1
             if (full & ~dom).bit_count() > caps[left]:
                 break
         else:
             if not left and dom == full and not must & ~members:
-                if members & (diff := members ^ best) & -diff:  # always when best is 0
-                    best = members if lex_first else 0
+                if not lex_first:
                     yield members
+                elif members & (diff := members ^ best) & -diff:  # always when best is 0
+                    best = members
+    if best:
+        yield best
 
 
 def _tree_from_internal_set(g: Graph, internal: set[int]) -> list[tuple[int, int]]:
@@ -401,28 +405,34 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
         return lifted
 
     n3 = n_ge3(reduced)
-    host_leaves = graph_leaves(reduced)
-    if n3 >= 3 * k2 or len(host_leaves) >= k2 or k2 <= 2:
-        witness = None
-        if want_witness:
-            witness = lift_witness(_shortcut_witness(reduced, k2, stats))
-        return Verdict("YES", witness, stats)
-
-    if n3 == 0:
+    shortcut = n3 >= 3 * k2 or len(graph_leaves(reduced)) >= k2 or k2 <= 2
+    if shortcut:
+        if not want_witness:
+            return Verdict("YES", None, stats)
+        # degree-1 vertices are leaves of every spanning tree, and every
+        # spanning tree of two or more vertices has 2 leaves, so only the
+        # ratio shortcut (3k or more vertices of degree 3) can get past the
+        # expansion tree; it has met k on every such instance tried, and the
+        # search below backs it up
+        probe = expansion_tree(reduced)
+        stats.probe_leaves = tree_leaf_count(probe)
+        if stats.probe_leaves >= k2:
+            return Verdict("YES", lift_witness(probe), stats)
+    elif n3 == 0:
         return Verdict("NO", None, stats)  # path or cycle, k2 > 2
-    caps = _caps(reduced.degree(v) for v in reduced.vertices)
-    stats.leaf_ceiling = reduced.n - _fewest_internal(reduced.n, caps)
-    if k2 > stats.leaf_ceiling:
-        return Verdict("NO", None, stats)  # the degree ceiling; parallel edges only raise it
+    else:
+        caps = _caps(reduced.degree(v) for v in reduced.vertices)
+        stats.leaf_ceiling = reduced.n - _fewest_internal(reduced.n, caps)
+        if k2 > stats.leaf_ceiling:
+            return Verdict("NO", None, stats)  # the degree ceiling; parallel edges only raise it
 
     s = suppress(reduced)
     hit = _search(reduced, s, k2, stats)
     if hit is None:
+        if shortcut:
+            raise GraphError("shortcut promised a tree the instance cannot deliver")
         return Verdict("NO", None, stats)
-    witness = None
-    if want_witness:
-        witness = lift_witness(forced_leaf_tree(s, hit))
-    return Verdict("YES", witness, stats)
+    return Verdict("YES", lift_witness(forced_leaf_tree(s, hit)) if want_witness else None, stats)
 
 
 def _search(g, s, k, stats, side=None) -> int | None:
@@ -442,10 +452,11 @@ def _search(g, s, k, stats, side=None) -> int | None:
     The forced side first builds the expansion tree of g. With k leaves or
     more, its leaves of degree 3 or more are a forced set that reaches k,
     since the tree keeps them leaves: no set is enumerated. The kept side
-    never builds it. Most NO instances land there (every one of the
-    decide-no benchmark), where the tree cannot help and would cost about
-    19 µs of a 0.1 ms operation; on a YES that side stops at its first
-    small enough connected dominating set anyway."""
+    never builds it. On a NO the tree cannot help: the 13 decide-no
+    benchmark instances (seed 0) that reach the search all take the kept
+    side, where building it would cost about 12% of a pass over the
+    workload; on a YES that side stops at its first small enough connected
+    dominating set anyway."""
     big = vertices_ge3(g)
     host_leaf_count = len(graph_leaves(g))
     must = s.full & ~s.mask(big) | s.loops
@@ -471,9 +482,8 @@ def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must, gain_cap) ->
     """First forced set whose achievable value reaches k, found through its
     kept side: the connected dominating sets of the suppressed graph with
     at most ``top_kept`` vertices that hold every ``must`` bit, by size and
-    then as _connected_sets yields them. They grow from the lowest ``must``
-    bit, or with none from each smallest member in turn. Each evaluated set
-    counts in ``subsets_enumerated``.
+    then as _connected_sets yields them. Each evaluated set counts in
+    ``subsets_enumerated``.
 
     With no gain possible (``gain_cap`` 0) a set is worth |F| + host leaves,
     and a kept set grown by a neighbour stays connected, dominating and
@@ -484,14 +494,12 @@ def _search_kept_sets(s, k, host_leaf_count, stats, top_kept, must, gain_cap) ->
     smallest = max(1, must.bit_count(), _fewest_internal(n, caps))
     sizes = range(smallest, min(top_kept, n) + 1)
     for size in sizes if gain_cap else sizes[-1:]:
-        roots = (must & -must,) if must else (1 << p for p in range(n - size + 1))
-        for root in roots:
-            for kept in _connected_sets(s.adj, caps, root, size, 0 if must else root - 1, must):
-                forced = s.full & ~kept
-                value = achievable_leaves(s, forced, host_leaf_count)
-                stats.subsets_enumerated += 1
-                if value is not None and value >= k:
-                    return forced
+        for kept in _connected_sets(s.adj, caps, size, must):
+            forced = s.full & ~kept
+            value = achievable_leaves(s, forced, host_leaf_count)
+            stats.subsets_enumerated += 1
+            if value is not None and value >= k:
+                return forced
     return None
 
 
@@ -529,21 +537,3 @@ def _search_forced_sets(s, big, k, host_leaf_count, stats) -> int | None:
             members = [b for b in bits[:above] if b & forced]
             level += (forced | bit for bit in bits[above:] if all(forced ^ b | bit in feasible for b in members))
         stats.subsets_pruned += comb(len(bits), size + 1) - len(level)
-
-
-def _shortcut_witness(g: Graph, k: int, stats: SolveStats) -> list[tuple[int, int]]:
-    """Witness tree for the counting shortcuts: the expansion tree, else the
-    forced-set search, counted in ``stats``. Degree-1 vertices are leaves
-    of every spanning tree, and every spanning tree of two or more vertices
-    has 2 leaves, so only the ratio shortcut (k >= 3 at 3k or more degree-3
-    vertices) can get past the expansion tree; it has met k on every such
-    instance tried."""
-    edges = expansion_tree(g)
-    stats.probe_leaves = tree_leaf_count(edges)
-    if stats.probe_leaves >= k:
-        return edges
-    s = suppress(g)
-    hit = _search(g, s, k, stats)
-    if hit is None:
-        raise GraphError("shortcut promised a tree the instance cannot deliver")
-    return forced_leaf_tree(s, hit)

@@ -400,10 +400,10 @@ def combination_cds_oracle(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int
 
 def reference_exact(g: Graph) -> tuple[int, list[tuple[int, int]]]:
     """The exact oracle without its lexicographic prune, for a connected
-    graph on three or more vertices: by size and root as ``exact_max_leaves``
-    goes, every connected dominating set ``_connected_sets`` yields is
-    compared with the one kept (the set holding the lowest differing bit
-    comes first), and the first root with a set gives the answer."""
+    graph on three or more vertices: by size as ``exact_max_leaves`` goes,
+    every connected dominating set ``_connected_sets`` yields is compared
+    with the one kept (the set holding the lowest differing bit comes
+    first), and the first size with a set gives the answer."""
     from maxleaf.solver import _caps, _connected_sets, _fewest_internal, _tree_from_internal_set
 
     order = sorted(g.vertices)
@@ -414,14 +414,13 @@ def reference_exact(g: Graph) -> tuple[int, list[tuple[int, int]]]:
         adj[idx[w]] |= 1 << idx[u]
     caps = _caps(a.bit_count() for a in adj)
     for size in itertools.count(_fewest_internal(g.n, caps)):
-        for root in range(g.n - size + 1):
-            best = 0
-            for members in _connected_sets(adj, caps, 1 << root, size, (1 << root) - 1):
-                diff = members ^ best
-                if not best or members & diff & -diff:
-                    best = members
-            if best:
-                return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
+        best = 0
+        for members in _connected_sets(adj, caps, size):
+            diff = members ^ best
+            if not best or members & diff & -diff:
+                best = members
+        if best:
+            return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
 
 
 # -- spanning tree enumeration ---------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from maxleaf.cli import main
-from maxleaf.generators import g7, necklace, q3
+from maxleaf.generators import RANDOM_MAX_N, g7, necklace, q3
 from maxleaf.graphs import parse_graph, write_graph
 from maxleaf.solver import tree_leaf_count, verify_spanning_tree
 
@@ -130,6 +130,14 @@ def test_generate_dot(capsys):
 def test_generate_bad_param(capsys):
     code, _, err = run(capsys, "generate", "--family", "flowerbed", "--param", "1")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("n", [RANDOM_MAX_N + 1, 100_000_000])
+def test_generate_random_above_the_maximum_exit_2(capsys, n):
+    # sampling is quadratic, so n far above the maximum would run for days
+    # or run out of memory; it is refused before anything is allocated
+    code, out, err = run(capsys, "generate", "--family", "random", "--n", str(n))
+    assert code == 2 and out == "" and err == f"error: random graphs need 4 <= n <= {RANDOM_MAX_N}\n"
 
 
 RANDOM_ONLY = "error: --n, --min-degree and --seed are read only with --family random\n"

@@ -4,6 +4,7 @@ import pytest
 
 from maxleaf.graphs import connected_components, is_connected, n_ge3
 from maxleaf.generators import (
+    RANDOM_MAX_N,
     FamilySpec,
     GeneratorError,
     blossom,
@@ -165,3 +166,5 @@ def test_random_generator_param_validation():
         random_invariant_graph(3, 3, seed=0)
     with pytest.raises(GeneratorError):
         random_invariant_graph(8, 5, seed=0)
+    with pytest.raises(GeneratorError):  # refused before any vertex is made
+        random_invariant_graph(RANDOM_MAX_N + 1, 3, seed=0)

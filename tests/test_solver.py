@@ -30,6 +30,7 @@ from conftest import (
     random_connected,
     random_loopless_multigraph,
     random_multigraph,
+    reach_mask,
     reference_exact,
     reference_forced_feasible,
     spanning_trees,
@@ -191,30 +192,69 @@ def _position_masks(g: Graph) -> _CountedReads:
     return _CountedReads(adj)
 
 
-def test_lex_first_yields_each_set_before_the_last():
+def test_lex_first_yields_the_lexicographically_first_set():
     def lex_key(m: int) -> list[bool]:  # the set holding the lowest differing bit sorts first
         return [not m >> p & 1 for p in range(16)]
 
-    # the oracle's hit in random_invariant_graph(16, 3, 1) has 5 members,
-    # the lowest at position 0, which has six such sets: the first found is
-    # not the answer, and three are yielded in turn
+    # random_invariant_graph(16, 3, 1) has eight connected dominating sets of
+    # 5 members, the oracle's size; the first found is not the answer
     adj = _position_masks(random_invariant_graph(16, 3, 1))
     caps = solver._caps(a.bit_count() for a in adj)
-    every = list(solver._connected_sets(adj, caps, 1, 5))
-    yielded = list(solver._connected_sets(adj, caps, 1, 5, lex_first=True))
-    assert len(every) == 6 and len(yielded) == 3 and set(yielded) <= set(every)
-    assert yielded[0] == every[0] and yielded[-1] == min(every, key=lex_key) != every[0]
-    assert all(lex_key(b) < lex_key(a) for a, b in zip(yielded, yielded[1:]))
+    every = list(solver._connected_sets(adj, caps, 5))
+    yielded = list(solver._connected_sets(adj, caps, 5, lex_first=True))
+    assert len(every) == 8 and yielded == [min(every, key=lex_key)] != every[:1]
 
 
 def test_lex_first_drops_the_branches_that_cannot_win():
-    # random_invariant_graph(17, 2, 1) has its hit at 8 members from position
-    # 2: 313 reads without the prune, 200 when the positions below the root
-    # are not counted among those the branch can no longer take
+    # random_invariant_graph(17, 2, 1) has one set of 8 members, grown from
+    # position 2 after roots 0 and 1 are refuted in the same call: 395 reads
+    # with the prune, 711 when every branch is walked to its end
     adj = _position_masks(random_invariant_graph(17, 2, 1))
     caps = solver._caps(a.bit_count() for a in adj)
-    assert len(list(solver._connected_sets(adj, caps, 1 << 2, 8, 0b11, lex_first=True))) == 1
-    assert adj.reads <= 51
+    assert len(list(solver._connected_sets(adj, caps, 8, lex_first=True))) == 1
+    pruned, adj.reads = adj.reads, 0
+    assert len(list(solver._connected_sets(adj, caps, 8))) == 1
+    assert pruned <= 395 and adj.reads >= 711
+
+
+def test_connected_sets_yield_each_dominating_set_once(rng):
+    """One call yields every connected dominating set of one size holding
+    ``must`` exactly once, whichever root each grows from: checked against
+    all position combinations on hosts of up to 12 vertices, with and
+    without ``must``, and on suppressed graphs with loops or parallel
+    edges. Under ``lex_first`` it yields the lexicographically first."""
+    cases = []
+    for _ in range(24):
+        g = random_connected(rng.randint(3, 12), rng.randint(0, 5), rng)
+        adj = [0] * g.n
+        for u, w in g.simple_edges():
+            adj[u - 1] |= 1 << w - 1
+            adj[w - 1] |= 1 << u - 1
+        cases += [(adj, 0), (adj, rng.getrandbits(g.n) & rng.getrandbits(g.n))]
+    multi = 0
+    while multi < 6:
+        g = random_connected(rng.randint(5, 12), rng.randint(1, 3), rng)
+        if vertices_ge3(g):
+            s = suppress(g)
+            multi += bool(s.loops) or len({e[1] for e in s.edges}) < len(s.edges)
+            cases.append((list(s.adj), s.full & ~s.mask(vertices_ge3(g)) | s.loops))
+    for adj, must in cases:
+        n = len(adj)
+        caps = solver._caps(a.bit_count() for a in adj)
+        for size in range(1, n + 1):
+            expected = []
+            for combo in itertools.combinations(range(n), size):
+                members = sum(1 << p for p in combo)
+                dom = members
+                for p in combo:
+                    dom |= adj[p]
+                connected = reach_mask(adj, members & -members, members) == members
+                if connected and dom == (1 << n) - 1 and not must & ~members:
+                    expected.append(members)
+            got = list(solver._connected_sets(adj, caps, size, must))
+            assert sorted(got) == sorted(expected), (adj, must, size)
+            first = min(expected, key=lambda m: [not m >> p & 1 for p in range(n)], default=None)
+            assert next(solver._connected_sets(adj, caps, size, must, lex_first=True), None) == first
 
 
 def test_verify_spanning_tree_rejects_non_trees():
@@ -575,9 +615,9 @@ def test_yes_above_the_probe_enumerates_the_top_size_only(k, monkeypatch):
     sizes = set()
     enumerate_sets = solver._connected_sets
 
-    def recorded(adj, caps, root, size, *rest):
+    def recorded(adj, caps, size, *rest):
         sizes.add(size)
-        return enumerate_sets(adj, caps, root, size, *rest)
+        return enumerate_sets(adj, caps, size, *rest)
 
     monkeypatch.setattr(solver, "_connected_sets", recorded)
     g = random_invariant_graph(40, 3, 0)
@@ -614,9 +654,8 @@ def test_degree_ceiling_refutes_before_the_search(rng):
 
 def test_connected_sets_cap_drops_no_hit(rng):
     """The sorted-degree caps yield the same sets in the same order as the
-    max-degree rule, j * max(1, max degree - 1), for every root and size,
-    from the lowest free bit as the oracle grows them and from the lowest
-    ``must`` bit as the kept side does."""
+    max-degree rule, j * max(1, max degree - 1), for every size, with no
+    ``must`` as the oracle grows them and with one as the kept side does."""
     hosts = [random_connected(n, rng.randint(0, 5), rng) for n in range(3, 15) for _ in range(4)]
     hosts += [random_invariant_graph(n, t, seed) for n in (8, 11, 14) for t in (2, 3) for seed in range(2)]
     cases = []
@@ -639,8 +678,7 @@ def test_connected_sets_cap_drops_no_hit(rng):
         old = [j * max(1, max(a.bit_count() for a in adj) - 1) for j in range(n + 1)]
         caps = solver._caps(a.bit_count() for a in adj)
         for size in range(1, n + 1):
-            starts = [(1 << r, size, (1 << r) - 1) for r in range(n)] + [(must & -must, size, 0, must)] * bool(must)
-            for args in starts:
+            for args in {(size, 0), (size, must)}:
                 assert list(solver._connected_sets(adj, caps, *args)) == list(solver._connected_sets(adj, old, *args))
 
 
