@@ -17,6 +17,12 @@ class GeneratorError(Exception):
 # random_invariant_graph samples in quadratic time: at minimum degree 3,
 # n = 8,000 takes about 16 s and n = 16,000 about a minute on a 2-CPU machine
 RANDOM_MAX_N = 16_000
+# the largest family parameters, whose graphs have at most RANDOM_MAX_N
+# vertices: 3k + 1 for necklace(k), 4k for necklace_ring(k), 13i for
+# flowerbed(i)
+NECKLACE_MAX_K = (RANDOM_MAX_N - 1) // 3
+RING_MAX_K = RANDOM_MAX_N // 4
+FLOWERBED_MAX_I = RANDOM_MAX_N // 13
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,8 @@ class FamilySpec:
 def necklace(k: int) -> Graph:
     """Chain of k diamonds glued at degree-2 vertices; 3k+1 vertices with the
     two chain ends of degree 2."""
-    if k < 1:
-        raise GeneratorError("necklace needs k >= 1")
+    if not 1 <= k <= NECKLACE_MAX_K:
+        raise GeneratorError(f"necklace needs 1 <= k <= {NECKLACE_MAX_K}")
     g = Graph()
     c_prev = 1
     nxt = 2
@@ -52,8 +58,8 @@ def necklace(k: int) -> Graph:
 
 def necklace_ring(k: int) -> Graph:
     """k diamonds joined in a cycle by k extra edges; cubic on 4k vertices."""
-    if k < 2:
-        raise GeneratorError("necklace-ring needs k >= 2 (k = 1 collapses to K4)")
+    if not 2 <= k <= RING_MAX_K:
+        raise GeneratorError(f"necklace-ring needs 2 <= k <= {RING_MAX_K} (k = 1 collapses to K4)")
     g = Graph()
     ends = []
     nxt = 1
@@ -134,8 +140,10 @@ def flower() -> Graph:
 def flowerbed(i: int) -> Graph:
     """i flowers joined in a cycle through their g-ports; connected with
     minimum degree 3 on 13*i vertices."""
-    if i < 2:
-        raise GeneratorError("flowerbed needs i >= 2 (i = 1 would need a parallel edge)")
+    if not 2 <= i <= FLOWERBED_MAX_I:
+        raise GeneratorError(
+            f"flowerbed needs 2 <= i <= {FLOWERBED_MAX_I} (i = 1 would need a parallel edge)"
+        )
     g = Graph()
     for j in range(i):
         off = 13 * j

@@ -10,24 +10,27 @@ invariant. Rule checks run once: ``admissible`` and ``apply_rule`` rematch a
 caller's match and test the graph's invariant, and the reduction loop trusts
 its own matches on invariant graphs.
 
-The loop and the lift each work on one copy of their graph. The loop applies
-each vetted match in place, reverting it when rejected, counts the step's
-component change by walks from its touched vertices, and keeps each rule's
-matches cached, refreshed around the touched vertices. The lift takes the
-copy forward through the trace and reverts one step at a time, carrying the
-start graph's component count through each step's ``component_delta``. It
-reads the step record, makes one pass over the forest per step, and tests
-each candidate completion on the replaced region only.
+The loop works on one copy of its graph. It applies each vetted match in
+place, reverting it when rejected, counts the step's component change by
+walks from its touched vertices, and keeps each rule's matches cached,
+refreshed around the touched vertices. The lift starts from the final graph
+of a trace, the caller's or one copy taken forward through it. It checks the
+forest once there and carries it back step by step, with its leaf count and
+the component count, testing each candidate completion on the replaced
+region only. An F1/F2 region meets the rest of the graph at its two
+terminals alone, so an F step's lift reads nothing outside it; an L/R step
+unions the whole forest and reads the graph, reverted to its post-state.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from operator import index
 from typing import Iterable
 
-from .graphs import Graph, GraphError, components_meeting, edge_key, find, is_goober
+from .graphs import Graph, GraphError, component_count, components_meeting, edge_key, find, is_goober
 from .patterns import (
     KIND_2BLOSSOM,
     KIND_2NECKLACE,
@@ -434,7 +437,8 @@ def _refresh(g: Graph, cache: dict[str, list[RuleMatch]], touched: set[int]) -> 
     degrees and neighbours, so it still fits, and every new match has a
     touched role: the cache drops the matches with one and adds those of a
     rescan from the start vertices within the rule's reach of the touched
-    vertices left in g."""
+    vertices left in g. Both lists are in find_matches order, so the fresh
+    matches are inserted by bisection, not sorted in with the kept ones."""
     dist = {v: 0 for v in touched if g.has_vertex(v)}
     frontier = list(dist)
     for d in range(1, max(_REACH[rule_id] for rule_id in cache) + 1):  # breadth first
@@ -447,9 +451,11 @@ def _refresh(g: Graph, cache: dict[str, list[RuleMatch]], touched: set[int]) -> 
         frontier = layer
     for rule_id, matches in cache.items():
         starts = [v for v, d in dist.items() if d <= _REACH[rule_id]]
-        fresh = [m for m in find_matches(g, rule_id, starts) if not touched.isdisjoint(m.roles.values())]
         kept = [m for m in matches if touched.isdisjoint(m.roles.values())]
-        cache[rule_id] = sorted(kept + fresh, key=_match_order)
+        for m in find_matches(g, rule_id, starts):
+            if not touched.isdisjoint(m.roles.values()):
+                insort(kept, m, key=_match_order)
+        cache[rule_id] = kept
 
 
 # -- rewrites --------------------------------------------------------------------
@@ -674,91 +680,120 @@ def reconstruct_tree(
 
     Keeps every forest edge that survives in the pre-graph and searches all
     ways to complete it with the edges the step removed, maximizing the leaf
-    count. Raises ReconstructionError when the leaf contract cannot be met.
+    count (the first best in sorted order). Raises ReconstructionError when
+    the forest does not span the reduced graph, the step's region is not as
+    its rule records it, or the leaf contract cannot be met.
     """
     return reconstruct_chain(g_before, [step], forest_edges)
 
 
+def _region_roots(step: ReductionStep, adj: dict[int, set[int]], added: set) -> dict[int, int]:
+    """A union-find over an F step's region in its pre-state, read before
+    the lift: two of its vertices share a root when the forest ``adj``
+    without the step's added edges joins them. The region meets the rest of
+    the graph only at its two terminals, so the forest joins them inside the
+    region, when it has one edge more at the region's inner vertices R than
+    R has vertices, or else outside it, where the step changed nothing. A
+    forest edge at R or a removed edge that leaves the region shows that the
+    step's region is not two-terminal."""
+    roles = dict(step.roles)
+    ends = (roles["u"], roles["v"]) if step.rule_id == "F1" else (roles["c1"], roles["c2"])
+    inner = set(roles.values()).difference(ends, step.removed_vertices)
+    at_inner = {edge_key(v, w) for v in inner for w in adj.get(v, ())}
+    parent = {v: v for v in itertools.chain(inner, ends, step.removed_vertices)}
+    if any(u not in parent or v not in parent for u, v in itertools.chain(at_inner, step.removed_edges)):
+        raise ReconstructionError("step region is not two-terminal")
+    for u, v in at_inner - added:
+        parent[find(parent, u)] = find(parent, v)
+    if len(at_inner) <= len(inner):
+        parent[find(parent, ends[0])] = find(parent, ends[1])
+    return parent
+
+
 def _lift(
-    g: Graph, step: ReductionStep, forest: set[tuple[int, int]], cc_after: int, cc_before: int
-) -> None:
-    """Lift ``forest``, a set of edge keys, in place over one step: g is in
-    the step's post-state with ``cc_after`` components, and the step is
-    reverted on g, whose pre-state has ``cc_before``."""
+    step: ReductionStep, adj: dict[int, set[int]], leaves: int, cc_after: int, cc_before: int, g: Graph | None
+) -> int:
+    """Lift a spanning forest in place over one step and return its leaf
+    count. ``adj`` maps every vertex of the step's post-state, which has
+    ``cc_after`` components, to its forest neighbours; the forest has
+    ``leaves`` leaves, and the pre-state has ``cc_before`` components. An F
+    step reads its region only. An L/R step joins the kept forest in one
+    union-find and reads the degrees around it on ``g``, the graph in the
+    post-state; g, when given, is reverted to the pre-state."""
     added = {edge_key(u, v) for u, v in step.added_edges}
-    if len(forest) != g.n - cc_after:
-        raise ReconstructionError("input forest does not span the reduced graph")
-    # one pass over the forest: its degrees, the check that it spans g (every
-    # edge in g and no cycle, given its size) and the union-find of its kept
-    # part, the edges the step did not add; a checked kept edge is a
-    # pre-graph edge, so the kept part is acyclic in the pre-graph too. The
-    # pool edges below also end at removed vertices, each its own root
-    parent = {v: v for v in itertools.chain(g._adj, step.removed_vertices)}
-
-    def join(u: int, v: int) -> None:
-        ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
-            raise ReconstructionError("input forest does not span the reduced graph")
-        parent[ru] = rv
-
-    degree: dict[int, int] = {}
-    back = []  # the forest edges the step added
-    for e in forest:
-        u, v = e
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        if not g.has_edge(u, v):
-            raise ReconstructionError("input forest does not span the reduced graph")
-        if e in added:
-            back.append(e)
-        else:
-            join(u, v)
     # revert drops the added edges and restores the removed ones, so the
-    # removed edges hold every pre-graph edge at a removed vertex
+    # removed edges hold every pre-graph edge at a removed vertex; a forest
+    # edge the step did not add is a pre-graph edge, kept by the lift
     removed = {edge_key(u, v) for u, v in step.removed_edges}
-    pool_edges = sorted(e for e in removed if e not in forest or e in added)  # not kept
-    root = {v: find(parent, v) for e in pool_edges for v in e}
-    roots = {r: r for r in root.values()}
+    pool = sorted(e for e in removed if e[1] not in adj.get(e[0], ()) or e in added)
+    back = [e for e in added if e[1] in adj.get(e[0], ())]  # the forest edges the step added
+    size = len(adj) - cc_after  # the forest's edges
+    fpt = step.rule_id in FPT_RULES
+    if fpt:
+        parent = _region_roots(step, adj, added)
+    else:
+        # a spanning forest has one tree per component of two or more vertices
+        nontrivial = sum(1 for ws in adj.values() if ws) - size
+        degree_after = {v: g.degree(v) for v in step.touched() if g.has_vertex(v)}
+    leaves_after = leaves
     for u, v in back:
-        join(u, v)
-    leaves_after = list(degree.values()).count(1)
-    # a spanning forest has one tree per component of two or more vertices
-    nontrivial = len(degree) - len(forest)
-    degree_after = {v: g.degree(v) for v in step.touched() if g.has_vertex(v)}
-    step.revert(g)
-    kept_leaves = leaves_after
-    for v in (v for e in back for v in e):
-        kept_leaves += (degree[v] == 2) - (degree[v] == 1)
-        degree[v] -= 1
-    need = (g.n - cc_before) - (len(forest) - len(back))
+        adj[u].discard(v)
+        adj[v].discard(u)
+        for w in (u, v):
+            leaves += (len(adj[w]) == 1) - (not adj[w])
+    if g is not None:
+        step.revert(g)
+    for v in step.added_vertices:
+        del adj[v]  # a fresh vertex's edges are all added
+    for v in step.removed_vertices:
+        adj[v] = set()
+    if not fpt:
+        parent = {v: v for v in adj}
+        for u, ws in adj.items():
+            for w in ws:
+                if u < w:
+                    parent[find(parent, u)] = find(parent, w)
+    need = (len(adj) - cc_before) - (size - len(back))
 
     # every candidate, the kept forest plus ``need`` pool edges, has
     # n - cc_before distinct edges of the pre-graph, so it spans the
     # pre-graph exactly when it is acyclic: when its extra edges join
-    # distinct trees of the kept forest and close no cycle among them. Only
-    # their endpoints change degree, so each candidate costs O(need), not O(n)
-    best: tuple[tuple[int, int], ...] | None = None
+    # distinct trees of the kept forest and close no cycle among them. Each
+    # tree a pool edge meets gets a small id, and only the extra edges'
+    # endpoints change degree, so each candidate costs O(need)
+    ids: dict[int, int] = {}
+    ends = [
+        (ids.setdefault(find(parent, u), len(ids)), ids.setdefault(find(parent, v), len(ids)), u, v)
+        for u, v in pool
+    ]
+    trees = list(range(len(ids)))
+    degree = {v: len(adj[v]) for e in pool for v in e}
+    best: tuple[tuple[int, int, int, int], ...] | None = None
     best_leaves = -1
-    for extra in itertools.combinations(pool_edges, need):
-        joined = roots.copy()  # union-find over the roots the pool edges meet
-        for u, v in extra:
-            a, b = find(joined, root[u]), find(joined, root[v])
+    for extra in itertools.combinations(ends, need):
+        joined = trees[:]
+        grown = degree.copy()
+        count = leaves
+        for a, b, u, v in extra:
+            while joined[a] != a:
+                a = joined[a]
+            while joined[b] != b:
+                b = joined[b]
             if a == b:
                 break
             joined[a] = b
+            d = grown[u] = grown[u] + 1
+            count += (d == 1) - (d == 2)
+            d = grown[v] = grown[v] + 1
+            count += (d == 1) - (d == 2)
         else:
-            leaves = kept_leaves
-            grown: dict[int, int] = {}  # the degrees the extra edges raise
-            for v in itertools.chain.from_iterable(extra):
-                d = grown[v] = grown.get(v, degree.get(v, 0)) + 1
-                leaves += (d == 1) - (d == 2)
-            if leaves > best_leaves:
-                best_leaves = leaves
+            if count > best_leaves:
+                best_leaves = count
                 best = extra
     if best is None:
         raise ReconstructionError("no completion spans the original graph")
 
-    if step.rule_id in FPT_RULES:
+    if fpt:
         if best_leaves < leaves_after + 1:
             raise ReconstructionError("lift lost the extra leaf of an FPT step")
     else:
@@ -774,23 +809,50 @@ def _lift(
             slack = 2 if made_goober else 0
         if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
             raise ReconstructionError("lift misses the reconstruction bound")
-    forest.difference_update(back)
-    forest.update(best)
+    for _, _, u, v in best:
+        adj[u].add(v)
+        adj[v].add(u)
+    return best_leaves
 
 
 def reconstruct_chain(
-    g_start: Graph, steps: list[ReductionStep], forest_edges: set[tuple[int, int]]
+    g_start: Graph,
+    steps: list[ReductionStep],
+    forest_edges: set[tuple[int, int]],
+    reduced: Graph | None = None,
 ) -> set[tuple[int, int]]:
-    """Undo a whole trace: lift a forest of the final graph to the start.
-    One copy of g_start is taken forward through the steps in place and then
-    lifted back one step at a time; the component counts come from one count
-    of g_start, carried through each step's component_delta."""
-    g = g_start.copy()
-    counts = [components_meeting(g, g.vertices)]
-    for step in steps:
-        step.apply(g)
-        counts.append(counts[-1] + step.component_delta)
+    """Undo a whole trace: lift a spanning forest of the final graph to
+    g_start. The final graph is ``reduced`` when the caller holds it (g_start
+    taken through the steps, as fpt_preprocess returns it), else one copy of
+    g_start taken forward through the steps, which checks that they replay.
+    The forest is checked once there, then carried back step by step with
+    its leaf count, and the component count with each component_delta. The
+    graph is reverted only down to the first L/R step, whose bound reads its
+    degrees; an F-only trace leaves it as it is."""
+    g = reduced
+    if g is None:
+        g = g_start.copy()
+        for step in steps:
+            step.apply(g)
     forest = {edge_key(u, v) for u, v in forest_edges}
+    # edges of g with n - |forest| trees have no cycle; such a forest has no
+    # fewer trees than g has components and spans g when the two are equal,
+    # always when it is one tree, so only several trees need g's count
+    cc = g.n - len(forest)
+    if not (
+        all(g.has_edge(u, v) for u, v in forest)
+        and component_count(g._adj, forest) == cc
+        and (cc <= 1 or components_meeting(g, g._adj) == cc)
+    ):
+        raise ReconstructionError("input forest does not span the reduced graph")
+    adj: dict[int, set[int]] = {v: set() for v in g._adj}
+    for u, v in forest:
+        adj[u].add(v)
+        adj[v].add(u)
+    leaves = sum(1 for ws in adj.values() if len(ws) == 1)
+    first = next((i for i, step in enumerate(steps) if step.rule_id not in FPT_RULES), len(steps))
     for i in reversed(range(len(steps))):
-        _lift(g, steps[i], forest, counts[i + 1], counts[i])
-    return forest
+        delta = steps[i].component_delta
+        leaves = _lift(steps[i], adj, leaves, cc, cc - delta, g if i >= first else None)
+        cc -= delta
+    return {(u, w) for u, ws in adj.items() for w in ws if u < w}

@@ -399,7 +399,7 @@ def fpt_decide(g: Graph, k: int, want_witness: bool = False) -> Verdict:
     stats = SolveStats(reductions_applied=len(steps), k_after_preprocess=k2)
 
     def lift_witness(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        lifted = sorted(edges) if not steps else sorted(reconstruct_chain(g, steps, set(edges)))
+        lifted = sorted(edges) if not steps else sorted(reconstruct_chain(g, steps, set(edges), reduced))
         if not verify_spanning_tree(g, lifted) or tree_leaf_count(lifted) < k:
             raise GraphError("constructed witness fails verification")
         return lifted

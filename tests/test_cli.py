@@ -140,6 +140,21 @@ def test_generate_random_above_the_maximum_exit_2(capsys, n):
     assert code == 2 and out == "" and err == f"error: random graphs need 4 <= n <= {RANDOM_MAX_N}\n"
 
 
+@pytest.mark.parametrize(
+    "family, param, message",
+    [
+        ("necklace", "5334", "necklace needs 1 <= k <= 5333"),
+        ("necklace-ring", "4001", "necklace-ring needs 2 <= k <= 4000 (k = 1 collapses to K4)"),
+        ("flowerbed", "1231", "flowerbed needs 2 <= i <= 1230 (i = 1 would need a parallel edge)"),
+        ("flowerbed", "100000000", "flowerbed needs 2 <= i <= 1230 (i = 1 would need a parallel edge)"),
+    ],
+)
+def test_generate_family_above_the_maximum_exit_2(capsys, family, param, message):
+    # each family's maximum keeps n within RANDOM_MAX_N; above it nothing is built
+    code, out, err = run(capsys, "generate", "--family", family, "--param", param)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 RANDOM_ONLY = "error: --n, --min-degree and --seed are read only with --family random\n"
 PARAM_ONLY = "error: --param is read only with --family necklace, necklace-ring or flowerbed\n"
 

@@ -3,8 +3,12 @@ import itertools
 import pytest
 
 from maxleaf.graphs import connected_components, is_connected, n_ge3
+from maxleaf import generators
 from maxleaf.generators import (
+    FLOWERBED_MAX_I,
+    NECKLACE_MAX_K,
     RANDOM_MAX_N,
+    RING_MAX_K,
     FamilySpec,
     GeneratorError,
     blossom,
@@ -159,6 +163,30 @@ def test_random_generator_deterministic():
     assert a == b
     c = random_invariant_graph(10, 3, seed=8)
     assert a != c or a.edge_multiset() == c.edge_multiset()
+
+
+@pytest.mark.parametrize(
+    "build, family, top, size",
+    [
+        (necklace, "necklace", NECKLACE_MAX_K, lambda k: 3 * k + 1),
+        (necklace_ring, "necklace-ring", RING_MAX_K, lambda k: 4 * k),
+        (flowerbed, "flowerbed", FLOWERBED_MAX_I, lambda i: 13 * i),
+    ],
+)
+def test_family_parameter_above_its_maximum_is_refused(monkeypatch, build, family, top, size):
+    # the maximum is the largest parameter whose graph has at most
+    # RANDOM_MAX_N vertices; one above it is refused before a graph is made
+    assert size(top) <= RANDOM_MAX_N < size(top + 1)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(generators, "Graph", no_graph)
+    for param in (top + 1, 10**9):
+        with pytest.raises(GeneratorError, match=f"<= {top}"):
+            build(param)
+        with pytest.raises(GeneratorError, match=f"<= {top}"):
+            generate(FamilySpec(family, k=param))
 
 
 def test_random_generator_param_validation():

@@ -2,10 +2,11 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from maxleaf.graphs import Graph, GraphError, connected_components, n_ge3
+from maxleaf.graphs import Graph, GraphError, connected_components, edge_key, find, n_ge3
 from maxleaf.generators import (
     GeneratorError,
     flowerbed,
@@ -94,7 +95,7 @@ def test_r4_requires_disconnection():
         assert not ok and reason == "connectivity"
 
 
-def test_r4_fires_at_cut_vertex_with_delta_5():
+def r4_cut_graph():
     g = Graph(edges=[(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
     # degree-2 anchors on both sides so each component keeps a goober
     for a, anchor in ((2, 6), (3, 7), (4, 8), (5, 9)):
@@ -103,6 +104,11 @@ def test_r4_fires_at_cut_vertex_with_delta_5():
     g.add_edge(7, 10)
     g.add_edge(8, 11)
     g.add_edge(9, 11)
+    return g
+
+
+def test_r4_fires_at_cut_vertex_with_delta_5():
+    g = r4_cut_graph()
     m = first_admissible(g, "R4")
     assert m is not None
     g2, step = apply_rule(g, m)
@@ -211,8 +217,12 @@ def test_l5_hand_built():
 # -- applications --------------------------------------------------------------------
 
 
+# K2, and K2 with its edge doubled
+L2_GRAPHS = ([(1, 2)], [(1, 2), (1, 2)])
+
+
 def test_l2_on_k2_gives_two_trivial_components():
-    g = Graph(edges=[(1, 2)])
+    g = Graph(edges=L2_GRAPHS[0])
     m = first_admissible(g, "L2")
     g2, step = apply_rule(g, m)
     assert g2.vertices == {1, 2} and g2.m == 0
@@ -221,7 +231,7 @@ def test_l2_on_k2_gives_two_trivial_components():
 
 
 def test_l2_on_k2_plus_e():
-    g = Graph(edges=[(1, 2), (1, 2)])
+    g = Graph(edges=L2_GRAPHS[1])
     m = first_admissible(g, "L2")
     g2, _ = apply_rule(g, m)
     assert g2.m == 0
@@ -235,8 +245,12 @@ def test_r5_deltas_on_k5():
     assert g2.m == g.m - 1
 
 
+def r1_graph():
+    return Graph(edges=[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 5), (1, 6), (4, 7)])
+
+
 def test_r1_fires_on_three_degree3_diamond():
-    g = Graph(edges=[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 5), (1, 6), (4, 7)])
+    g = r1_graph()
     matches = find_matches(g, "R1")
     assert [m.roles["hi"] for m in matches] == [1]
     g2, step = apply_rule(g, matches[0])
@@ -588,13 +602,24 @@ def _lift_traces(rng):
         g = plant_diamond(g, rng) if i % 2 else plant_blossom(g, rng)
         yield g, fpt_preprocess(g, g.n)[2]
     yield flowerbed(2), fpt_preprocess(flowerbed(2), 10)[2]
+    # the rules the traces above miss at the fixture seed, one rule a trace:
+    # L3, L4 and L5 on the seed-1 fuzz graphs where they apply, L2, R1 and
+    # R4 on the hand-built graphs above
+    for rule_id, rounds in RARE_RULE_ROUNDS:
+        for i in rounds:
+            g = _fuzz_graph(1, i)
+            yield g, reductions._reduce(g, (rule_id,))[1]
+    hand_built = [(Graph(edges=e), "L2") for e in L2_GRAPHS] + [(r1_graph(), "R1"), (r4_cut_graph(), "R4")]
+    for g, rule_id in hand_built:
+        yield g, [apply_rule(g, first_admissible(g, rule_id))[1]]
 
 
 def test_lift_matches_whole_graph_reference(rng):
-    """The region-local lift returns the whole-graph lift's tree, or raises
-    its error, on every step of the traces, for the forest lifted from the
-    end of the trace and for random spanning forests of each step's
-    graph."""
+    """The lift that carries the forest and reads an F step's region only
+    returns the whole-graph lift's tree, or raises its error, on every step
+    of the traces, for the forest lifted from the end of the trace and for
+    random spanning forests of each step's graph; the traces lift all 14
+    rules."""
     from conftest import whole_graph_lift
 
     compared = 0
@@ -610,7 +635,55 @@ def test_lift_matches_whole_graph_reference(rng):
                 assert got == want, (steps[i].rule_id, sorted(forest))
                 compared += 1
             chain = reconstruct_tree(graphs[i], steps[i], chain)
-    assert compared >= 300 and {"F1", "F2"} <= rules and len(rules) >= 5, (compared, rules)
+    assert compared >= 300 and rules == set(LOW_RULES + HIGH_RULES + FPT_RULES), (compared, rules)
+
+
+def test_region_union_find_joins_what_the_kept_forest_joins(rng):
+    """An F step's union-find over its region, read from the region alone,
+    puts two of its vertices together exactly when the forest without the
+    step's added edges joins them, anywhere in the graph."""
+    checked = 0
+    for g, steps in _lift_traces(rng):
+        graphs = replayed_graphs(g, steps)
+        for i, step in enumerate(steps):
+            if step.rule_id not in FPT_RULES:
+                continue
+            for _ in range(4):
+                forest = {edge_key(u, v) for u, v in random_spanning_forest(graphs[i + 1], rng)}
+                adj = {v: set() for v in graphs[i + 1].vertices}
+                for u, v in forest:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                added = {edge_key(u, v) for u, v in step.added_edges}
+                parent = reductions._region_roots(step, adj, added)
+                kept = Graph(graphs[i].vertices, forest - added)
+                tree = {v: j for j, c in enumerate(connected_components(kept)) for v in c}
+                for u, v in itertools.combinations(parent, 2):
+                    joined = find(parent, u) == find(parent, v)
+                    assert joined == (tree[u] == tree[v]), (step, sorted(forest))
+                checked += 1
+    assert checked >= 120, checked
+
+
+def test_lift_refuses_an_f2_step_whose_region_is_not_two_terminal(rng):
+    """An F2 step whose recorded roles put a terminal or an inner vertex on
+    a vertex outside the blossom still replays, since replay reads only its
+    edges, but the region lift refuses it. Moving c1 leaves the forest edge
+    a1-c1 (a1 is a leaf after the step) outside the region; moving a1 leaves
+    the removed edges at a1 outside it."""
+    g = flowerbed(2)
+    _, _, steps = fpt_preprocess(g, 10)
+    graphs = replayed_graphs(g, steps)
+    for i, step in enumerate(steps):
+        roles = dict(step.roles)
+        blossom = {roles[name] for name in ("b", "a1", "a2", "a3", "a4", "c1", "c2")}
+        for name in ("c1", "a1"):
+            (outside,) = {w for w in graphs[i].neighbors(roles["c1"]) if w not in blossom}
+            forged = replace(step, roles=tuple(sorted({**roles, name: outside}.items())))
+            forest = random_spanning_forest(graphs[i + 1], rng)
+            assert forest_leaf_count(reconstruct_tree(graphs[i], step, forest)) > forest_leaf_count(forest)
+            with pytest.raises(ReconstructionError, match="two-terminal"):
+                reconstruct_tree(graphs[i], forged, forest)
 
 
 # -- the loop and the lift on one graph against full rescans ---------------------------
@@ -736,10 +809,13 @@ def test_rule_loop_matches_full_rescan(rng, checked_cache):
     assert len(checked_cache) == len(LOW_RULES + HIGH_RULES), checked_cache
 
 
-@pytest.mark.parametrize("rule_id, rounds", [("L3", (89, 147)), ("L4", (7, 43, 141, 161)), ("L5", (7,))])
+# the seed-1 fuzz graphs on which L3, L4 and L5 apply as single-rule
+# reductions; the full reductions of the fuzz corpus rarely reach them
+RARE_RULE_ROUNDS = [("L3", (89, 147)), ("L4", (7, 43, 141, 161)), ("L5", (7,))]
+
+
+@pytest.mark.parametrize("rule_id, rounds", RARE_RULE_ROUNDS)
 def test_rare_rule_loop_matches_full_rescan(rule_id, rounds, rng, checked_cache):
-    # the seed-1 fuzz graphs on which the rule applies, as single-rule
-    # reductions; the full reductions of the fuzz corpus rarely reach it
     applied = 0
     for i in rounds:
         g = _fuzz_graph(1, i)
