@@ -4,6 +4,7 @@ suites, plus a seeded generator of random invariant-satisfying graphs."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import Graph, is_connected
@@ -14,8 +15,8 @@ class GeneratorError(Exception):
     """Bad family parameters or exhausted sampling budget."""
 
 
-# random_invariant_graph samples in quadratic time: at minimum degree 3,
-# n = 8,000 takes about 16 s and n = 16,000 about a minute on a 2-CPU machine
+# the largest random graph; the invariant repair after sampling rescans the
+# whole graph, and the family maxima below derive from this value
 RANDOM_MAX_N = 16_000
 # the largest family parameters, whose graphs have at most RANDOM_MAX_N
 # vertices: 3k + 1 for necklace(k), 4k for necklace_ring(k), 13i for
@@ -183,24 +184,32 @@ def random_invariant_graph(n: int, min_degree_target: int = 3, seed: int = 0) ->
 
 
 def _random_connected(n: int, target: int, rng: random.Random) -> Graph:
+    """A random tree on 1..n, then random edges at its vertices below degree
+    3 when ``target`` is 3, then a few anywhere. Each draw indexes an
+    ascending list of its candidates that is kept, not rebuilt per edge."""
     g = Graph(vertices=range(1, n + 1))
     for v in range(2, n + 1):
         g.add_edge(v, rng.randint(1, v - 1))
     if target >= 3:
+        low = [v for v in range(1, n + 1) if g.degree(v) < 3]
         budget = 20 * n
-        while budget:
+        while budget and low:
             budget -= 1
-            low = [v for v in g.vertices if g.degree(v) < 3]
-            if not low:
-                break
             v = rng.choice(low)
-            choices = [w for w in g.vertices if w != v and not g.has_edge(v, w)]
-            if not choices:
+            taken = sorted(g.neighbors(v) | {v})  # at most three vertices
+            if len(taken) == n:
                 break
-            g.add_edge(v, rng.choice(choices))
+            # the w-th vertex of 1..n not taken, counting from 1
+            w = rng.choice(range(n - len(taken))) + 1
+            for t in taken:
+                w += t <= w
+            g.add_edge(v, w)
+            for u in (v, w):
+                if g.degree(u) == 3:
+                    del low[bisect_left(low, u)]
     # density jitter so the corpus is not all near-minimal
     for _ in range(rng.randint(0, max(1, n // 4))):
-        u, v = rng.sample(sorted(g.vertices), 2)
+        u, v = rng.sample(range(1, n + 1), 2)
         if not g.has_edge(u, v):
             g.add_edge(u, v)
     return g

@@ -11,15 +11,15 @@ caller's match and test the graph's invariant, and the reduction loop trusts
 its own matches on invariant graphs.
 
 The loop works on one copy of its graph. It applies each vetted match in
-place, reverting it when rejected, counts the step's component change by
-walks from its touched vertices, and keeps each rule's matches cached,
-refreshed around the touched vertices. The lift starts from the final graph
-of a trace, the caller's or one copy taken forward through it. It checks the
-forest once there and carries it back step by step, with its leaf count and
-the component count, testing each candidate completion on the replaced
-region only. An F1/F2 region meets the rest of the graph at its two
-terminals alone, so an F step's lift reads nothing outside it; an L/R step
-unions the whole forest and reads the graph, reverted to its post-state.
+place, reverting it when rejected, reads the touched degrees around the
+rewrite, counts its component change by one walk after it, and keeps each
+rule's matches cached, refreshed around the touched vertices. A step records
+all its lift needs, so the lift reads no graph past the final one of a trace,
+where it checks the forest once; it then carries it back step by step, with
+its leaf count and the component count, testing each candidate completion on
+the replaced region only. An F1/F2 region meets the rest of the graph at its
+two terminals alone, so an F step's lift reads nothing outside it; an L/R step
+unions the whole forest.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class ReductionStep:
     delta_n3: int = 0
     component_delta: int = 0
     delta_k: int = 0
+    made_goober: bool = False  # a touched vertex ends at degree <= 2, fresh or from 3+
 
     def touched(self) -> set[int]:
         out = set(self.removed_vertices) | set(self.added_vertices)
@@ -131,13 +132,18 @@ class ReductionStep:
             "delta_n3": self.delta_n3,
             "component_delta": self.component_delta,
             "delta_k": self.delta_k,
+            "made_goober": self.made_goober,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReductionStep":
         """The step of a JSON record; a vertex, role or delta that is not an
-        integer (a float is not truncated) or an edge that is not a pair
-        raises TypeError or ValueError."""
+        integer (a float is not truncated), a made_goober that is not a bool
+        or an edge that is not a pair raises TypeError or ValueError. A
+        missing made_goober reads False, which gives the lift's strict bound."""
+        made_goober = d.get("made_goober", False)
+        if not isinstance(made_goober, bool):
+            raise TypeError(f"made_goober {made_goober!r} is not a bool")
         return cls(
             rule_id=d["rule"],
             roles=tuple(sorted((k, index(v)) for k, v in d["roles"].items())),
@@ -148,6 +154,7 @@ class ReductionStep:
             delta_n3=index(d["delta_n3"]),
             component_delta=index(d["component_delta"]),
             delta_k=index(d.get("delta_k", 0)),
+            made_goober=made_goober,
         )
 
 
@@ -555,8 +562,9 @@ def _vet(
     """The admissibility check of a match that fits its template on g, made
     on g itself: the rewrite is applied in place and reverted when the rule
     does not apply. Returns the violated condition (None when the rule
-    applies) and then the step with its deltas. ``before``, a copy of g, is
-    given when g may violate the invariant; without it g satisfies it."""
+    applies) and then the step, read off the touched degrees before and
+    after the rewrite and one component walk after it. ``before``, a copy of
+    g, is given when g may violate the invariant; without it g satisfies it."""
     rid = match.rule_id
     r = match.roles
     reason = _shared_end_reason(g, match)
@@ -565,24 +573,23 @@ def _vet(
 
     plan = build_plan(g, match)
     touched = plan.touched()  # every other vertex keeps its neighbours
-
-    def tally() -> tuple[int, int]:
-        """Components meeting the touched vertices, and those of degree 3+."""
-        present = [v for v in touched if g.has_vertex(v)]
-        return components_meeting(g, present), sum(1 for v in present if g.degree(v) >= 3)
-
     uw_present = rid == "R3" and g.has_edge(r["u"], r["w"])
-    cc_before, n3_before = tally()
+    before_deg = {v: g.degree(v) for v in touched if g.has_vertex(v)}
     plan.apply(g)
-    cc_after, n3_after = tally()
-    step = replace(plan, delta_n3=n3_before - n3_after, component_delta=cc_after - cc_before)
+    after_deg = {v: g.degree(v) for v in touched if g.has_vertex(v)}
+    # the matched structure joins every touched vertex of the pre-state, so
+    # they met one component; a fresh vertex reads as degree 3 before
+    split = components_meeting(g, after_deg) - 1
+    n3 = sum(d >= 3 for d in before_deg.values()) - sum(d >= 3 for d in after_deg.values())
+    goober = any(d <= 2 and before_deg.get(v, 3) >= 3 for v, d in after_deg.items())
+    step = replace(plan, delta_n3=n3, component_delta=split, made_goober=goober)
     if rid in FPT_RULES:
         return None, step
-    if rid == "R5" and cc_after != cc_before:
+    if rid == "R5" and split:
         reason = "bridge"
-    elif rid == "R3" and cc_after != cc_before:
+    elif rid == "R3" and split:
         reason = "connectivity"
-    elif rid == "R4" and cc_after <= cc_before:
+    elif rid == "R4" and split <= 0:
         reason = "connectivity"
     elif uw_present:
         reason = "edge uw already present"
@@ -710,16 +717,13 @@ def _region_roots(step: ReductionStep, adj: dict[int, set[int]], added: set) -> 
     return parent
 
 
-def _lift(
-    step: ReductionStep, adj: dict[int, set[int]], leaves: int, cc_after: int, cc_before: int, g: Graph | None
-) -> int:
+def _lift(step: ReductionStep, adj: dict[int, set[int]], leaves: int, cc_after: int, cc_before: int) -> int:
     """Lift a spanning forest in place over one step and return its leaf
     count. ``adj`` maps every vertex of the step's post-state, which has
     ``cc_after`` components, to its forest neighbours; the forest has
     ``leaves`` leaves, and the pre-state has ``cc_before`` components. An F
-    step reads its region only. An L/R step joins the kept forest in one
-    union-find and reads the degrees around it on ``g``, the graph in the
-    post-state; g, when given, is reverted to the pre-state."""
+    step reads its region only, an L/R step joins the kept forest in one
+    union-find; neither reads a graph."""
     added = {edge_key(u, v) for u, v in step.added_edges}
     # revert drops the added edges and restores the removed ones, so the
     # removed edges hold every pre-graph edge at a removed vertex; a forest
@@ -734,15 +738,12 @@ def _lift(
     else:
         # a spanning forest has one tree per component of two or more vertices
         nontrivial = sum(1 for ws in adj.values() if ws) - size
-        degree_after = {v: g.degree(v) for v in step.touched() if g.has_vertex(v)}
     leaves_after = leaves
     for u, v in back:
         adj[u].discard(v)
         adj[v].discard(u)
         for w in (u, v):
             leaves += (len(adj[w]) == 1) - (not adj[w])
-    if g is not None:
-        step.revert(g)
     for v in step.added_vertices:
         del adj[v]  # a fresh vertex's edges are all added
     for v in step.removed_vertices:
@@ -798,15 +799,8 @@ def _lift(
             raise ReconstructionError("lift lost the extra leaf of an FPT step")
     else:
         # when a rewrite leaves a low-degree vertex behind, trees of the
-        # reduced graph carry a stronger leaf guarantee, worth 2/3 here;
-        # only a touched vertex can change its degree
-        slack = 0
-        if nontrivial <= cc_before:
-            made_goober = any(
-                d <= 2 and (v in step.added_vertices or (g.has_vertex(v) and g.degree(v) >= 3))
-                for v, d in degree_after.items()
-            )
-            slack = 2 if made_goober else 0
+        # reduced graph carry a stronger leaf guarantee, worth 2/3 here
+        slack = 2 if nontrivial <= cc_before and step.made_goober else 0
         if 3 * (best_leaves - leaves_after) < step.delta_n3 - 6 * (nontrivial - 1) - slack:
             raise ReconstructionError("lift misses the reconstruction bound")
     for _, _, u, v in best:
@@ -826,9 +820,8 @@ def reconstruct_chain(
     taken through the steps, as fpt_preprocess returns it), else one copy of
     g_start taken forward through the steps, which checks that they replay.
     The forest is checked once there, then carried back step by step with
-    its leaf count, and the component count with each component_delta. The
-    graph is reverted only down to the first L/R step, whose bound reads its
-    degrees; an F-only trace leaves it as it is."""
+    its leaf count, and the component count with each component_delta; no
+    graph is read or changed after the check."""
     g = reduced
     if g is None:
         g = g_start.copy()
@@ -850,9 +843,7 @@ def reconstruct_chain(
         adj[u].add(v)
         adj[v].add(u)
     leaves = sum(1 for ws in adj.values() if len(ws) == 1)
-    first = next((i for i, step in enumerate(steps) if step.rule_id not in FPT_RULES), len(steps))
-    for i in reversed(range(len(steps))):
-        delta = steps[i].component_delta
-        leaves = _lift(steps[i], adj, leaves, cc, cc - delta, g if i >= first else None)
-        cc -= delta
+    for step in reversed(steps):
+        leaves = _lift(step, adj, leaves, cc, cc - step.component_delta)
+        cc -= step.component_delta
     return {(u, w) for u, ws in adj.items() for w in ws if u < w}

@@ -31,6 +31,33 @@ def random_connected(n: int, extra_edges: int, rng: random.Random) -> Graph:
     return g
 
 
+def reference_random_connected(n: int, target: int, rng: random.Random) -> Graph:
+    """``generators._random_connected`` as it rebuilt its candidate lists
+    for each added edge: the vertices below degree 3, then every vertex not
+    yet joined to the one drawn. Same draws and graphs; the reference for
+    the sampler that keeps one list and indexes past the taken vertices."""
+    g = Graph(vertices=range(1, n + 1))
+    for v in range(2, n + 1):
+        g.add_edge(v, rng.randint(1, v - 1))
+    if target >= 3:
+        budget = 20 * n
+        while budget:
+            budget -= 1
+            low = [v for v in range(1, n + 1) if g.degree(v) < 3]
+            if not low:
+                break
+            v = rng.choice(low)
+            choices = [w for w in range(1, n + 1) if w != v and not g.has_edge(v, w)]
+            if not choices:
+                break
+            g.add_edge(v, rng.choice(choices))
+    for _ in range(rng.randint(0, max(1, n // 4))):
+        u, v = rng.sample(sorted(g.vertices), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v)
+    return g
+
+
 def random_multigraph(n: int, m: int, rng: random.Random) -> Graph:
     g = Graph(vertices=range(1, n + 1))
     for _ in range(m):
@@ -708,8 +735,9 @@ def reference_reduce(g: Graph, rules) -> tuple[Graph, list]:
     """``reductions._reduce`` as a full rescan and a copy per candidate:
     every rule's matches found afresh on the whole graph before each step,
     each candidate replayed on a copy, and its component change counted
-    over both whole graphs. Same order, admissions and steps; the reference
-    for the loop that works in place on cached matches."""
+    over both whole graphs, and made_goober read off both. Same order,
+    admissions and steps; the reference for the loop that works in place on
+    cached matches."""
     from dataclasses import replace
 
     from maxleaf.patterns import check_invariant
@@ -725,7 +753,13 @@ def reference_reduce(g: Graph, rules) -> tuple[Graph, list]:
         split = len(naive_components(after)) - len(naive_components(cur))
         touched = plan.touched()
         n3 = [sum(1 for v in touched if h.has_vertex(v) and h.degree(v) >= 3) for h in (cur, after)]
-        step = replace(plan, delta_n3=n3[0] - n3[1], component_delta=split)
+        made_goober = any(
+            after.has_vertex(v)
+            and after.degree(v) <= 2
+            and (not cur.has_vertex(v) or cur.degree(v) >= 3)
+            for v in touched
+        )
+        step = replace(plan, delta_n3=n3[0] - n3[1], component_delta=split, made_goober=made_goober)
         if rid not in FPT_RULES:
             if rid in ("R3", "R5") and split or rid == "R4" and split <= 0:
                 return None

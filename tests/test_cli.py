@@ -352,8 +352,12 @@ def _step_line(**fields) -> str:
         _step_line(removed_edges=[[1.9, 2.2]]),
         _step_line(roles={"a": 2.7}),
         _step_line(delta_n3="x"),
+        _step_line(made_goober=1),
     ],
-    ids=["not-json", "missing-key", "edge-not-a-pair", "vertex-not-an-int", "vertex-a-float", "role-a-float", "delta-not-an-int"],
+    ids=[
+        "not-json", "missing-key", "edge-not-a-pair", "vertex-not-an-int", "vertex-a-float", "role-a-float",
+        "delta-not-an-int", "goober-not-a-bool",
+    ],
 )
 def test_bad_replay_line_exit_2(capsys, tmp_path, q3_file, bad_line):
     trace = tmp_path / "trace.jsonl"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from maxleaf.generators import (
 from maxleaf.patterns import check_invariant, find_2blossoms, find_2necklaces, find_cubic_diamonds
 from maxleaf.solver import exact_max_leaves
 
-from conftest import flower_roles, naive_bridges_and_cuts
+from conftest import flower_roles, naive_bridges_and_cuts, reference_random_connected
 
 
 def test_q3_shape():
@@ -196,3 +197,25 @@ def test_random_generator_param_validation():
         random_invariant_graph(8, 5, seed=0)
     with pytest.raises(GeneratorError):  # refused before any vertex is made
         random_invariant_graph(RANDOM_MAX_N + 1, 3, seed=0)
+
+
+def test_random_sampler_draws_what_the_rebuilding_reference_draws():
+    """The sampler gives the reference's edges and leaves its random source
+    in the reference's state, so the invariant repair that follows, and
+    every seeded random_invariant_graph, are unchanged: on each first
+    attempt of the corpus below, then on 300 draws in a row from one source."""
+    for n in [*range(4, 121), 200, 333, 500]:
+        for target in (2, 3):
+            for seed in range(5):
+                rng, ref_rng = (random.Random((n, target, seed).__repr__()) for _ in range(2))
+                got = generators._random_connected(n, target, rng)
+                want = reference_random_connected(n, target, ref_rng)
+                assert sorted(got.edges()) == sorted(want.edges()), (n, target, seed)
+                assert rng.getstate() == ref_rng.getstate(), (n, target, seed)
+    rng, ref_rng = random.Random(7), random.Random(7)
+    for i in range(300):
+        n, target = 4 + i % 57, 2 + i % 2
+        got = generators._random_connected(n, target, rng)
+        want = reference_random_connected(n, target, ref_rng)
+        assert sorted(got.edges()) == sorted(want.edges()), i
+    assert rng.getstate() == ref_rng.getstate()

@@ -398,12 +398,63 @@ def test_each_rule_application_is_checked_once(monkeypatch):
         assert steps
         forest = exact_forest(reduced)
         with monkeypatch.context() as patch:
-            # the lift takes one copy forward and back: each step once each way
+            # the lift takes one copy forward and reads each step's record on
+            # the way back: each step applied once, none reverted
             for name in ("apply", "revert"):
                 patch.setattr(ReductionStep, name, counting(name))
             calls.clear()
             reconstruct_chain(g, steps, forest)
-        assert calls == {"apply": len(steps), "revert": len(steps)}
+        assert calls == {"apply": len(steps)}
+
+
+def test_vetted_match_makes_one_component_walk(monkeypatch):
+    walks = Counter()
+    meeting, vet = reductions.components_meeting, reductions._vet
+
+    def counted_meeting(*args):
+        walks["now"] += 1
+        return meeting(*args)
+
+    def counted_vet(g, match, *args):
+        # a match refused on its shared end vertices is never rewritten
+        want = 0 if reductions._shared_end_reason(g, match) else 1
+        walks["now"] = 0
+        out = vet(g, match, *args)
+        assert walks["now"] == want, match
+        walks["vetted"] += want
+        return out
+
+    monkeypatch.setattr(reductions, "components_meeting", counted_meeting)
+    monkeypatch.setattr(reductions, "_vet", counted_vet)
+    for n, degree, seed in ((16, 3, 1), (20, 2, 7), (20, 2, 1)):
+        reduce_to_irreducible(random_invariant_graph(n, degree, seed=seed))
+    fpt_preprocess(flowerbed(3), 13)
+    k5 = Graph(edges=itertools.combinations(range(1, 6), 2))
+    admissible(k5, find_matches(k5, "R5")[0])
+    assert walks["vetted"] >= 20
+
+
+def test_touched_vertices_of_a_match_lie_in_one_component():
+    """The one walk after a rewrite counts its component change because the
+    matched structure joins every touched vertex of the pre-state: checked
+    for every match of every rule on each graph of each reduction trace."""
+    matches = Counter()
+    for n in range(6, 21):
+        for degree in (2, 3):
+            for seed in range(3):
+                try:
+                    g = random_invariant_graph(n, degree, seed=seed)
+                except GeneratorError:
+                    continue
+                _, steps = reduce_to_irreducible(g)
+                for h in replayed_graphs(g, steps):
+                    for rule_id in LOW_RULES + HIGH_RULES + FPT_RULES:
+                        for m in find_matches(h, rule_id):
+                            touched = reductions.build_plan(h, m).touched()
+                            pre = [v for v in touched if h.has_vertex(v)]
+                            assert reductions.components_meeting(h, pre) == 1, m
+                            matches[rule_id] += 1
+    assert len(matches) >= 8 and sum(matches.values()) >= 1000, matches
 
 
 def test_invariant_preserved_along_reductions(rng):
@@ -530,6 +581,38 @@ def test_reconstruction_meets_the_pipeline_bound(rng):
             assert Fraction(forest_leaf_count(lifted)) >= bound, (rule, i)
             pipelines += 1
     assert pipelines >= 15
+
+
+def test_lift_leaves_the_final_graph_as_it_is():
+    """The lift reads the caller's final graph for its forest check only: an
+    L/R trace (L7, L6, R5) and an F trace both leave it unchanged."""
+    g = random_invariant_graph(20, 2, 1)
+    reduced, steps = reduce_to_irreducible(g)
+    assert [s.rule_id for s in steps] == ["L7", "L6", "R5"]
+    bed = flowerbed(2)
+    bed_reduced, _, bed_steps = fpt_preprocess(bed, bed.n)
+    assert {s.rule_id for s in bed_steps} == {"F2"}
+    for start, trace, final in ((g, steps, reduced), (bed, bed_steps, bed_reduced)):
+        kept = final.copy()
+        forest = exact_forest(final)
+        lifted = reconstruct_chain(start, trace, forest, final)
+        assert final == kept
+        assert lifted == reconstruct_chain(start, trace, forest)
+
+
+def test_made_goober_in_the_json_trace():
+    g = random_invariant_graph(20, 2, 1)
+    _, steps = reduce_to_irreducible(g)
+    assert [s.made_goober for s in steps] == [True, True, False]
+    for step in steps:
+        record = step.to_json_dict()
+        assert ReductionStep.from_json_dict(json.loads(json.dumps(record))) == step
+        # a trace written before the key existed reads the strict bound
+        del record["made_goober"]
+        assert ReductionStep.from_json_dict(record).made_goober is False
+        for value in (1, 0, "true", None):
+            with pytest.raises(TypeError):
+                ReductionStep.from_json_dict({**record, "made_goober": value})
 
 
 def test_reconstruct_rejects_non_spanning_forest():
