@@ -3,12 +3,12 @@
 The oracle works through the complement: for n >= 3 the internal vertices of
 a spanning tree form a connected dominating set, so the maximum leaf count is
 n minus the smallest one, sought depth-first among connected vertex sets
-only. The decision procedure preprocesses with the two-terminal rules, applies
-the counting shortcuts, refutes k above the degree ceiling (a spanning tree
-with i internal vertices has at most 2 + caps[i] vertices, see ``_caps``),
-and then searches the forced-leaf sets over the suppressed graph from one
-of two sides, whichever has the smaller enumeration bound
-(``SolveStats.search_side``).
+only, each holding every cut vertex. The decision procedure preprocesses
+with the two-terminal rules, applies the counting shortcuts, refutes k above
+the degree ceiling (a spanning tree with i internal vertices has at most
+2 + caps[i] vertices, see ``_caps``), and then searches the forced-leaf sets
+over the suppressed graph from one of two sides, whichever has the smaller
+enumeration bound (``SolveStats.search_side``).
 The forced side first builds a Kleitman–West leaf-expansion tree in O(m)
 (``expansion_tree``); when it has k leaves, its leaves of degree 3 or more
 are the forced set and nothing is enumerated. Otherwise the forced side goes
@@ -82,8 +82,12 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
 
     n minus the size of a smallest connected dominating set, the
     lexicographically first one, found by enumerating connected vertex sets
-    depth-first, by size upward from a degree lower bound; the first size
-    with a set is the answer (see _connected_sets). Intended for desk-scale
+    depth-first, by size upward from a degree lower bound or the number of
+    cut vertices; the first size with a set is the answer (see
+    _connected_sets). A connected dominating set D holds every cut vertex v
+    (n >= 3): else D lies in one component of g - v and dominates no other.
+    So the cut vertices go in as ``must``, and each size keeps its family of
+    sets and its lexicographically first one. Intended for desk-scale
     instances (default cap 30 vertices).
     """
     if not is_connected(g):
@@ -96,19 +100,53 @@ def exact_max_leaves(g: Graph, cap: int = 30) -> tuple[int, list[tuple[int, int]
         u, v = sorted(g.vertices)
         return 2, [(u, v)]
 
-    order = sorted(g.vertices)
+    order = sorted(g._adj)
     idx = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)  # neighbour mask per position
-    for u, w in set(g.edges()):
-        if u != w:
-            adj[idx[u]] |= 1 << idx[w]
-            adj[idx[w]] |= 1 << idx[u]
+    adj = [sum(1 << idx[w] for w in g._adj[v] if w != v) for v in order]  # neighbour mask per position
     caps = _caps(a.bit_count() for a in adj)
+    must = _cut_vertices(adj)
     # sizes stop by n - 2, as a spanning tree's internal vertices are a
     # connected dominating set
-    for size in itertools.count(_fewest_internal(g.n, caps)):
-        if best := next(_connected_sets(adj, caps, size, lex_first=True), 0):
+    for size in itertools.count(max(_fewest_internal(g.n, caps), must.bit_count())):
+        if best := next(_connected_sets(adj, caps, size, must, lex_first=True), 0):
             return g.n - size, _tree_from_internal_set(g, {v for v in order if best >> idx[v] & 1})
+
+
+def _cut_vertices(adj) -> int:
+    """Mask of the cut vertices of a connected graph on two or more
+    positions, ``adj[i]`` the neighbour mask of position i, by the low-point
+    depth-first walk of Hopcroft and Tarjan from position 0. Non-tree edges
+    join a vertex to an ancestor, so a vertex just reached reaches back to
+    its seen neighbours but its parent. A vertex cuts when a child's subtree
+    reaches back no higher than it; the root, when its first one leaves a
+    vertex unseen."""
+    full = (1 << len(adj)) - 1
+    disc = [0] * len(adj)  # discovery time
+    low = [0] * len(adj)  # earliest discovery time a subtree reaches back to
+    seen, t, cut, path = 1, 0, 0, [0]
+    while path:
+        v = path[-1]
+        if fresh := adj[v] & ~seen:
+            w = (bit := fresh & -fresh).bit_length() - 1
+            seen |= bit
+            t = disc[w] = lo = t + 1
+            back = adj[w] & seen & ~(1 << v)
+            while back:
+                x = back & -back
+                back ^= x
+                if (d := disc[x.bit_length() - 1]) < lo:
+                    lo = d
+            low[w] = lo
+            path.append(w)
+        else:
+            path.pop()
+            if path:
+                p, lo = path[-1], low[v]
+                if lo < low[p]:
+                    low[p] = lo
+                if lo >= disc[p] and (p or seen != full):
+                    cut |= 1 << p
+    return cut
 
 
 def _caps(degrees) -> list[int]:
@@ -130,18 +168,19 @@ def _connected_sets(adj, caps: list[int], size: int, must: int = 0, *, lex_first
     """Yield, as masks, the connected sets of ``size`` positions that contain
     every bit of ``must`` and dominate every position; ``adj[i]`` is the
     neighbour mask of position i. Each set is grown from the lowest
-    ``must`` bit, or, with no ``must``, from its smallest member.
+    ``must`` bit (the oracle's cut vertices, the kept side's vertices never
+    forced), or, with no ``must``, from its smallest member.
 
     Depth first, each set once: the lowest undecided neighbour is added, and
-    the set without it is stacked, never to take it back. The roots are
-    stacked first, the lowest on top, so the sets come out by root. A set is
-    dropped when more positions are undominated than its members still to
-    come can dominate, ``caps[left]`` (see _caps), and a ``must`` bit is
-    never left out. With ``lex_first`` only the lexicographically first set
-    is yielded, the one holding the lowest bit where two differ; once a set
-    is in hand, a branch is dropped unless a bit it may still take, outside
-    that set, lies below the set's lowest bit the branch can no longer
-    take."""
+    the set without it is stacked, never to take it back. With a ``must``
+    its lowest bit is the one root; without, every root is stacked first,
+    the lowest on top, so the sets come out by root. A set is dropped when
+    more positions are undominated than its members still to come can
+    dominate, ``caps[left]`` (see _caps), and a ``must`` bit is never left
+    out. With ``lex_first`` only the lexicographically first set is yielded,
+    the one holding the lowest bit where two differ; once a set is in hand,
+    a branch is dropped unless a bit it may still take, outside that set,
+    lies below the set's lowest bit the branch can no longer take."""
     full = (1 << len(adj)) - 1
     best = 0  # the set in hand, under lex_first
     # (set, dominated, undecided neighbours, members left, bits below the

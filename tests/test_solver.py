@@ -140,15 +140,21 @@ def test_exact_matches_combination_search():
 
 def test_exact_search_memory_stays_small():
     # every clique vertex carries a pendant, so the whole clique is the only
-    # connected dominating set and every smaller size is searched out
+    # connected dominating set. The oracle takes it at once, as the cut
+    # vertices; the enumerator without them searches every smaller size out
     g = Graph(edges=list(itertools.combinations(range(1, 11), 2)) + [(v, v + 10) for v in range(1, 11)])
+    adj = _position_masks(g)
+    caps = solver._caps(a.bit_count() for a in adj)
+    sizes = range(solver._fewest_internal(g.n, caps), 11)
     tracemalloc.start()
     try:
         best, tree = exact_max_leaves(g)
+        found = [next(solver._connected_sets(adj, caps, size, lex_first=True), 0) for size in sizes]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert best == 10 and verify_spanning_tree(g, tree)
+    assert len(sizes) > 5 and found == [0] * (len(sizes) - 1) + [(1 << 10) - 1]
     assert peak < 500_000
 
 
@@ -168,8 +174,39 @@ def test_exact_matches_the_unpruned_search(rng):
     graphs += [g for g in trees if g.min_degree() == 1][:12]
     graphs.append(random_loopless_multigraph(16, 30, rng))
     assert not graphs[-1].is_simple()
-    for g in graphs:
+    # the oracle fixes the cut vertices in every set; the reference does not
+    cut = [random_connected(n, rng.randint(0, 4), rng) for n in range(17, 25) for _ in range(2)]
+    cut += [random_invariant_graph(n, 2, s) for n in range(17, 25) for s in (0, 1)]
+    assert all(solver._cut_vertices(_position_masks(g)) for g in cut)
+    for g in graphs + cut:
         assert exact_max_leaves(g) == reference_exact(g), sorted(g.edges())
+
+
+def test_cut_vertices_match_removing_each_vertex():
+    """A position is reported iff the rest of the graph falls apart without
+    it: on the differential corpus, one edge, a path, a star, a chain of
+    triangles joined by bridges, a bowtie whose lowest vertex is its only
+    cut vertex (the walk's root), and a multigraph with a parallel edge and
+    a loop at its cut vertices."""
+    cases = _oracle_differential_graphs() + [
+        Graph(edges=[(1, 2)]),
+        Graph(edges=[(v, v + 1) for v in range(1, 9)]),
+        Graph(edges=[(1, v) for v in range(2, 9)]),
+        Graph(edges=[(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7)]),
+        Graph(edges=[(1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1)]),
+        Graph(edges=[(1, 2), (2, 3), (2, 3), (3, 3), (3, 4), (4, 5), (5, 3)]),
+    ]
+    for g in cases:
+        adj = _position_masks(g)
+        full = (1 << g.n) - 1
+        expected = 0
+        for p in range(g.n):
+            rest = full ^ 1 << p
+            if reach_mask(adj, rest & -rest, rest) != rest:
+                expected |= 1 << p
+        assert solver._cut_vertices(adj) == expected, sorted(g.edges())
+    assert solver._cut_vertices(_position_masks(cases[-2])) == 1
+    assert solver._cut_vertices(_position_masks(cases[-1])) == 0b110
 
 
 class _CountedReads(list):
@@ -184,12 +221,31 @@ class _CountedReads(list):
 
 
 def _position_masks(g: Graph) -> _CountedReads:
-    """Neighbour mask per position of a graph on 1..n, vertex v at v - 1."""
+    """Neighbour mask per position, the i-th smallest vertex at position i."""
+    idx = {v: i for i, v in enumerate(sorted(g.vertices))}
     adj = [0] * g.n
     for u, w in g.simple_edges():
-        adj[u - 1] |= 1 << w - 1
-        adj[w - 1] |= 1 << u - 1
+        adj[idx[u]] |= 1 << idx[w]
+        adj[idx[w]] |= 1 << idx[u]
     return _CountedReads(adj)
+
+
+def test_oracle_grows_every_set_from_a_cut_vertex(monkeypatch):
+    # random_invariant_graph(30, 2, 6) has cut vertices, so every set grows
+    # from one root and holds them all: 482 mask reads, where starting at the
+    # degree bound with every root took 855,193
+    calls = []
+    enumerate_sets = solver._connected_sets
+
+    def counted(adj, *args, **kwargs):
+        calls.append(_CountedReads(adj))
+        return enumerate_sets(calls[-1], *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_connected_sets", counted)
+    g = random_invariant_graph(30, 2, 6)
+    best, tree = exact_max_leaves(g)
+    assert best == 14 and verify_spanning_tree(g, tree) and tree_leaf_count(tree) == 14
+    assert sum(adj.reads for adj in calls) <= 1_000
 
 
 def test_lex_first_yields_the_lexicographically_first_set():
